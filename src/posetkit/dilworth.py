@@ -6,6 +6,13 @@ into the parts above and below it, or no such antichain exists and a single
 minimal-to-maximal two-element chain comes off.  Every recursive call is on a
 strictly smaller carrier, so the recursion is well founded.
 
+The width m comes once from Fulkerson's reduction (a maximum matching M on
+x⁻ → y⁺ for x < y leaves n − |M| chains) and is carried down: a case-1 half
+lies inside P and holds the chosen antichain, so its width is m; after a
+case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
+every maximum antichain of P is the minimal or the maximal elements.  The
+witness is the lexicographically first maximum antichain, as the oracle finds.
+
 ``disjointify_cover`` turns a smallest cover into a pairwise-disjoint one of
 the same size; minimality is essential (a non-smallest cover can lose a chain
 entirely), so it is a checked precondition.
@@ -13,7 +20,9 @@ entirely), so it is a checked precondition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Generator
 
 from . import oracle
 from .core import (
@@ -56,30 +65,63 @@ def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
 
 
 def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> DilworthCertificate:
-    """A chain cover whose size equals the width, built by Perles' recursion."""
+    """A chain cover whose size equals the width, built by Perles' recursion;
+    the width comes from Fulkerson's matching, and the search that yields the
+    witness goes on as the top frame's search for a case-1 antichain."""
     if len(P) > cap:
         raise InstanceTooLarge(
             f"perles_chain_cover: instance has {len(P)} elements, cap is {cap}"
         )
-    top = oracle.max_antichain(P, cap)
-    cover = _perles(P, top, len(P))
-    assert len(cover) == top.size
-    return DilworthCertificate(top.size, top.witness, canonical_cover(cover))
+    m = _matching_width(P)
+    candidates = oracle.iter_antichains_of_size(P, m)
+    witness = next(candidates)
+    cover = _perles(P, m, candidates, witness)
+    assert len(cover) == m
+    return DilworthCertificate(m, witness, canonical_cover(cover))
 
 
-def _perles(P: FinitePoset, best: SizedWitness | None, depth_budget: int) -> list[frozenset[ElementId]]:
-    assert depth_budget >= 0, "recursion must shrink the carrier each level"
-    if best is None:
-        best = oracle.max_antichain(P, len(P))
-    m = best.size
+def _matching_width(P: FinitePoset) -> int:
+    """n − |M| for a maximum matching M on the edges x⁻ → y⁺ with x < y, grown
+    by Kuhn's augmenting paths over index bitmasks; P.relation is already closed."""
+    n = len(P)
+    index = {e: i for i, e in enumerate(P.elements)}
+    above = [0] * n
+    for (x, y) in P.relation:
+        if x != y:
+            above[index[x]] |= 1 << index[y]
+    owner: dict[int, int] = {}  # y -> the x matched to it
+    seen = 0
+
+    def augment(x: int) -> bool:
+        nonlocal seen
+        while free := above[x] & ~seen:
+            bit = free & -free
+            seen |= bit
+            y = bit.bit_length() - 1
+            if y not in owner or augment(owner[y]):
+                owner[y] = x
+                return True
+        return False
+
+    matched = 0
+    for x in range(n):
+        seen = 0
+        matched += augment(x)
+    return n - matched
+
+
+def _perles(P: FinitePoset, m: int, candidates: Generator[frozenset[ElementId], None, None] | None = None,
+            first: frozenset[ElementId] | None = None) -> list[frozenset[ElementId]]:
+    """m chains covering P, of width m.  ``candidates`` is a search for P's size-m
+    antichains that the caller began, ``first`` what it yielded; it is closed
+    before any recursion."""
     max_set = maximal_elements(P)
     min_set = minimal_elements(P)
-
-    chosen = None
-    for cand in oracle.iter_antichains_of_size(P, m):
-        if cand != max_set and cand != min_set:
-            chosen = cand
-            break
+    if candidates is None:
+        candidates = oracle.iter_antichains_of_size(P, m)
+    ordered = candidates if first is None else itertools.chain((first,), candidates)
+    chosen = next((c for c in ordered if c != max_set and c != min_set), None)
+    candidates.close()
 
     if chosen is not None:
         # Case 1: split by the antichain into the part above it and the part
@@ -89,8 +131,8 @@ def _perles(P: FinitePoset, best: SizedWitness | None, depth_budget: int) -> lis
         assert above | below == P.carrier
         assert chosen <= above and chosen <= below
         assert above != P.carrier and below != P.carrier
-        upper = _perles(restrict(P, above), None, depth_budget - 1)
-        lower = _perles(restrict(P, below), None, depth_budget - 1)
+        upper = _perles(restrict(P, above), m)
+        lower = _perles(restrict(P, below), m)
         assert len(upper) == m and len(lower) == m
 
         def keyed(chains: list[frozenset[ElementId]], at_bottom: bool) -> dict[ElementId, frozenset[ElementId]]:
@@ -118,7 +160,7 @@ def _perles(P: FinitePoset, best: SizedWitness | None, depth_budget: int) -> lis
     rest = P.carrier - {x, y}
     if not rest:
         return [frozenset({x, y})]
-    sub = _perles(restrict(P, rest), None, depth_budget - 1)
+    sub = _perles(restrict(P, rest), m - 1)
     assert len(sub) == m - 1
     return sub + [frozenset({x, y})]
 

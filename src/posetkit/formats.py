@@ -90,10 +90,14 @@ def _id_entry(x: Any, where: str) -> ElementId:
     return x
 
 
-def _id_list(value: Any, where: str) -> list[ElementId]:
+def _list(value: Any, where: str) -> list[Any]:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list")
-    return [_id_entry(x, where) for x in value]
+    return value
+
+
+def _id_list(value: Any, where: str) -> list[ElementId]:
+    return [_id_entry(x, where) for x in _list(value, where)]
 
 
 def _pair_list(value: Any, where: str) -> list[tuple[ElementId, ElementId]]:
@@ -108,6 +112,8 @@ def _pair_list(value: Any, where: str) -> list[tuple[ElementId, ElementId]]:
 
 
 def _field(body: dict[str, Any], name: str) -> Any:
+    if not isinstance(body, dict):
+        raise ValidationError(f"expected an object with field {name!r}, got {body!r}")
     if name not in body:
         raise ValidationError(f"missing field {name!r}")
     return body[name]
@@ -307,7 +313,7 @@ def verify_certificate(
         P = _require_kind(inst, POSET, kind)
         w = _field(cert, "width")
         antichain = frozenset(_id_list(_field(cert, "antichain"), "antichain"))
-        cover = [frozenset(_id_list(c, "cover")) for c in _field(cert, "cover")]
+        cover = [frozenset(_id_list(c, "cover")) for c in _list(_field(cert, "cover"), "cover")]
         if not is_antichain(P, antichain) or len(antichain) != w:
             return False, "antichain witness invalid or of the wrong size"
         if not verify_chain_cover(P, cover):
@@ -320,7 +326,7 @@ def verify_certificate(
         P = _require_kind(inst, POSET, kind)
         h = _field(cert, "height")
         chain = frozenset(_id_list(_field(cert, "chain"), "chain"))
-        layers = [frozenset(_id_list(c, "layers")) for c in _field(cert, "layers")]
+        layers = [frozenset(_id_list(c, "layers")) for c in _list(_field(cert, "layers"), "layers")]
         if not is_chain(P, chain) or len(chain) != h:
             return False, "chain witness invalid or of the wrong size"
         if not verify_antichain_cover(P, layers):
@@ -378,11 +384,12 @@ def verify_certificate(
         choice = _field(cert, "choice")
         if not isinstance(choice, dict):
             raise ValidationError("choice: expected an object")
-        if set(choice) != {str(nm) for nm in family}:
+        by_key = {str(nm): ids for nm, ids in family.items()}  # certificate keys are strings
+        if set(choice) != set(by_key):
             return False, "choice does not name every member exactly once"
         picked = []
         for name, value in choice.items():
-            if value not in family[name]:
+            if _id_entry(value, f"choice[{name!r}]") not in by_key[name]:
                 return False, f"choice for {name!r} is not in the member set"
             picked.append(value)
         if len(set(picked)) != len(picked):
@@ -394,9 +401,11 @@ def verify_certificate(
         direction = _field(cert, "direction")
         if direction not in (INCREASING, DECREASING):
             raise ValidationError(f"unknown direction {direction!r}")
-        values = _field(cert, "values")
+        values = _list(_field(cert, "values"), "values")
         witness = SubseqWitness(direction, seq_from_list(values))
         m, n = _field(cert, "m"), _field(cert, "n")
+        if type(m) is not int or type(n) is not int:
+            raise ValidationError("m, n: expected integers")
         promised = m + 1 if direction == INCREASING else n + 1
         if len(witness.subsequence) != promised:
             return False, "witness does not have the promised length"

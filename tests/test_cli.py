@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from posetkit import formats
+from posetkit import find_sdr, formats
 from posetkit.cli import run_command
 from posetkit.errors import ParseError, ValidationError
 
@@ -244,6 +244,12 @@ def test_verify_sdr_rejects_repeated_representative(tmp_path, capsys):
     assert code == 1 and out["valid"] is False
 
 
+def test_verify_sdr_with_integer_member_names():
+    family = {1: frozenset({"x"}), 2: frozenset({"x", "y"})}
+    cert = formats.sdr_certificate(find_sdr(family), minimality_checked=True)
+    assert formats.verify_certificate(formats.Instance(formats.FAMILY, family), cert) == (True, "ok")
+
+
 def test_verify_subsequence_rejects_wrong_length(tmp_path, capsys):
     seq = write(tmp_path, "s.json", SEQ)
     forged = tmp_path / "c.json"
@@ -251,6 +257,23 @@ def test_verify_subsequence_rejects_wrong_length(tmp_path, capsys):
                                   "values": [1, 2], "m": 2, "n": 2}))
     code, out = run(tmp_path, capsys, "verify", seq, str(forged))
     assert code == 1 and out["valid"] is False
+
+
+@pytest.mark.parametrize("payload,cert", [
+    (BADGRAPH, {"kind": "matching", "violation": 5}),
+    ({"kind": "family", "members": {"S1": ["x"]}}, {"kind": "sdr", "choice": {"S1": ["x"]}}),
+    (SEQ, {"kind": "subsequence", "direction": "increasing", "values": [3, 4, 5],
+           "m": "a", "n": 2}),
+    (P3, {"kind": "chain-cover", "width": 2, "antichain": ["a", "c"], "cover": 5}),
+], ids=["matching-violation-not-object", "sdr-choice-not-an-id",
+        "subsequence-m-not-int", "chain-cover-cover-not-list"])
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, payload, cert):
+    inst = write(tmp_path, "inst.json", payload)
+    path = write(tmp_path, "cert.json", cert)
+    assert run_command(["verify", inst, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # --- determinism ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from posetkit import (
     verify_chain_cover,
     width,
 )
+from posetkit.dilworth import _matching_width
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
 from conftest import random_poset
@@ -160,3 +161,42 @@ def test_check_dilworth(p3, posets_upto_4):
     assert (report.width, report.cover_size, report.equal) == (2, 2, True)
     for P in posets_upto_4[::11]:
         assert check_dilworth(P).equal
+
+
+# --- the width from Fulkerson's matching ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seeded_posets(posets_upto_4, posets_n5):
+    rng = random.Random(2)
+    return posets_upto_4 + posets_n5 + [random_poset(rng, rng.randint(1, 16))
+                                        for _ in range(1000)]
+
+
+def test_matching_width_equals_oracle_width(seeded_posets):
+    for P in seeded_posets:
+        assert _matching_width(P) == max_antichain(P).size
+
+
+def test_perles_witness_is_the_oracle_witness(seeded_posets):
+    for P in seeded_posets:
+        cert = perles_chain_cover(P)
+        top = max_antichain(P)
+        assert (cert.width, cert.antichain_witness) == (top.size, top.witness)
+
+
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_perles_width_above_cap_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    names = [f"v{i}" for i in range(n)]
+    P = build_poset(names, [(names[i], names[j]) for i in range(n)
+                            for j in range(i + 1, n) if rng.random() < 0.05])
+    split = nx.Graph()
+    split.add_nodes_from((x, "-") for x in names)
+    split.add_nodes_from((y, "+") for y in names)
+    split.add_edges_from(((x, "-"), (y, "+")) for (x, y) in P.relation if x != y)
+    matching = nx.bipartite.hopcroft_karp_matching(split, top_nodes=[(x, "-") for x in names])
+    cert = perles_chain_cover(P, cap=n)
+    assert cert.width == n - len(matching) // 2
+    assert_certifies(P, cert)
