@@ -9,6 +9,7 @@ runs on the same input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -23,6 +24,7 @@ _POSET_COMMANDS = ("width", "height", "chain-cover", "antichain-cover",
                    "check-dilworth", "check-mirsky")
 
 
+@functools.cache  # parsing leaves the parser as it was; stderr is looked up per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetkit",
@@ -68,9 +70,8 @@ def _read(path: str) -> bytes:
 
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
 

@@ -228,6 +228,19 @@ def restrict(P: FinitePoset, S: AbstractSet[ElementId]) -> FinitePoset:
     return FinitePoset(sorted_ids(sub), rel)
 
 
+def _order_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
+    """Strict order as bitmasks over the index of ``P.elements`` (id order):
+    bit j of ``up[i]`` and bit i of ``down[j]`` mark elements[i] < elements[j]."""
+    index = {e: i for i, e in enumerate(P.elements)}
+    up, down = [0] * len(index), [0] * len(index)
+    for (x, y) in P.relation:
+        if x != y:
+            ix, iy = index[x], index[y]
+            up[ix] |= 1 << iy
+            down[iy] |= 1 << ix
+    return up, down
+
+
 def verify_chain_cover(P: FinitePoset, cover: Iterable[AbstractSet[ElementId]]) -> bool:
     """True iff every member is a chain in P and the members cover the carrier."""
     members = [frozenset(m) for m in cover]

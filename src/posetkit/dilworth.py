@@ -13,6 +13,11 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
+A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
+by id, so ascending bit order is id order: the lexicographically first witness
+and every tie-break are those of the same recursion over restricted posets.
+The strict up/down masks are built once per call; ids come back at the end.
+
 ``disjointify_cover`` turns a smallest cover into a pairwise-disjoint one of
 the same size; minimality is essential (a non-smallest cover can lose a chain
 entirely), so it is a checked precondition.
@@ -20,24 +25,18 @@ entirely), so it is a checked precondition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Generator
 
 from . import oracle
 from .core import (
     ChainCover,
     ElementId,
     FinitePoset,
+    _order_masks,
     canonical_cover,
-    id_key,
-    maximal_above,
-    maximal_elements,
-    minimal_elements,
-    restrict,
     verify_chain_cover,
 )
-from .errors import InstanceTooLarge, NotASmallestCover
+from .errors import NotASmallestCover
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
@@ -66,35 +65,32 @@ def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
 
 def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> DilworthCertificate:
     """A chain cover whose size equals the width, built by Perles' recursion;
-    the width comes from Fulkerson's matching, and the search that yields the
-    witness goes on as the top frame's search for a case-1 antichain."""
-    if len(P) > cap:
-        raise InstanceTooLarge(
-            f"perles_chain_cover: instance has {len(P)} elements, cap is {cap}"
-        )
-    m = _matching_width(P)
-    candidates = oracle.iter_antichains_of_size(P, m)
-    witness = next(candidates)
-    cover = _perles(P, m, candidates, witness)
+    the width comes from Fulkerson's matching, and the first size-m antichain
+    of the top frame's search is the witness."""
+    oracle._require_cap(len(P), cap, "perles_chain_cover")
+    up, down = _order_masks(P)
+    m = _matching_width(up)
+    comp = [u | d for u, d in zip(up, down)]
+    full = (1 << len(P)) - 1
+    found = oracle._antichain_masks(comp, full, m, 3)
+    cover = _perles(up, down, comp, full, m, found)
     assert len(cover) == m
-    return DilworthCertificate(m, witness, canonical_cover(cover))
+
+    def ids(mask: int) -> frozenset[ElementId]:
+        return frozenset(e for i, e in enumerate(P.elements) if mask >> i & 1)
+
+    return DilworthCertificate(m, ids(found[0]), canonical_cover(map(ids, cover)))
 
 
-def _matching_width(P: FinitePoset) -> int:
-    """n − |M| for a maximum matching M on the edges x⁻ → y⁺ with x < y, grown
-    by Kuhn's augmenting paths over index bitmasks; P.relation is already closed."""
-    n = len(P)
-    index = {e: i for i, e in enumerate(P.elements)}
-    above = [0] * n
-    for (x, y) in P.relation:
-        if x != y:
-            above[index[x]] |= 1 << index[y]
+def _matching_width(up: list[int]) -> int:
+    """n − |M| for a maximum matching M on the edges x⁻ → y⁺ with x < y (bit y
+    of ``up[x]``), grown by Kuhn's augmenting paths."""
     owner: dict[int, int] = {}  # y -> the x matched to it
     seen = 0
 
     def augment(x: int) -> bool:
         nonlocal seen
-        while free := above[x] & ~seen:
+        while free := up[x] & ~seen:
             bit = free & -free
             seen |= bit
             y = bit.bit_length() - 1
@@ -104,65 +100,78 @@ def _matching_width(P: FinitePoset) -> int:
         return False
 
     matched = 0
-    for x in range(n):
+    for x in range(len(up)):
         seen = 0
         matched += augment(x)
-    return n - matched
+    return len(up) - matched
 
 
-def _perles(P: FinitePoset, m: int, candidates: Generator[frozenset[ElementId], None, None] | None = None,
-            first: frozenset[ElementId] | None = None) -> list[frozenset[ElementId]]:
-    """m chains covering P, of width m.  ``candidates`` is a search for P's size-m
-    antichains that the caller began, ``first`` what it yielded; it is closed
-    before any recursion."""
-    max_set = maximal_elements(P)
-    min_set = minimal_elements(P)
-    if candidates is None:
-        candidates = oracle.iter_antichains_of_size(P, m)
-    ordered = candidates if first is None else itertools.chain((first,), candidates)
-    chosen = next((c for c in ordered if c != max_set and c != min_set), None)
-    candidates.close()
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` as one-bit masks, ascending."""
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask ^= out[-1]
+    return out
+
+
+def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
+            found: list[int] | None = None) -> list[int]:
+    """m chain masks covering the carrier mask S, of width m.  ``found`` holds
+    the first size-m antichains of S when the caller already searched."""
+    min_set = max_set = 0
+    for bit in _bits(S):
+        i = bit.bit_length() - 1
+        if not down[i] & S:
+            min_set |= bit
+        if not up[i] & S:
+            max_set |= bit
+    if found is None:
+        # At most two size-m antichains are extremal, so a third is not.
+        found = oracle._antichain_masks(comp, S, m, 3)
+    chosen = next((c for c in found if c != max_set and c != min_set), None)
 
     if chosen is not None:
         # Case 1: split by the antichain into the part above it and the part
         # below it; the antichain itself lies in both.
-        above = {x for x in P.carrier if any(P.le(y, x) for y in chosen)}
-        below = {x for x in P.carrier if any(P.le(x, y) for y in chosen)}
-        assert above | below == P.carrier
-        assert chosen <= above and chosen <= below
-        assert above != P.carrier and below != P.carrier
-        upper = _perles(restrict(P, above), m)
-        lower = _perles(restrict(P, below), m)
+        above = below = chosen
+        for bit in _bits(chosen):
+            above |= up[bit.bit_length() - 1]
+            below |= down[bit.bit_length() - 1]
+        above &= S
+        below &= S
+        assert above | below == S
+        assert above != S and below != S
+        upper = _perles(up, down, comp, above, m)
+        lower = _perles(up, down, comp, below, m)
         assert len(upper) == m and len(lower) == m
 
-        def keyed(chains: list[frozenset[ElementId]], at_bottom: bool) -> dict[ElementId, frozenset[ElementId]]:
-            out: dict[ElementId, frozenset[ElementId]] = {}
+        def keyed(chains: list[int], at_bottom: bool) -> dict[int, int]:
+            out: dict[int, int] = {}
             for chain in chains:
-                shared = chain & chosen
-                assert len(shared) == 1, "each chain meets the antichain exactly once"
-                (a,) = shared
-                if at_bottom:
-                    assert all(P.le(a, z) for z in chain)
-                else:
-                    assert all(P.le(z, a) for z in chain)
+                a = chain & chosen
+                assert a.bit_count() == 1, "each chain meets the antichain exactly once"
+                i = a.bit_length() - 1
+                assert not chain & ~(a | (up[i] if at_bottom else down[i]))
                 out[a] = chain
             return out
 
         upper_by = keyed(upper, at_bottom=True)
         lower_by = keyed(lower, at_bottom=False)
         assert len(upper_by) == len(lower_by) == m
-        return [upper_by[a] | lower_by[a] for a in sorted(chosen, key=id_key)]
+        return [upper_by[a] | lower_by[a] for a in _bits(chosen)]
 
     # Case 2: every maximum antichain is an extremal one.  Peel one chain from
     # a minimal element to a maximal element above it.
-    x = min(min_set, key=id_key)
-    y = maximal_above(P, x)
-    rest = P.carrier - {x, y}
+    x = min_set & -min_set
+    y = max_set & (up[x.bit_length() - 1] | x)
+    y &= -y
+    rest = S & ~(x | y)
     if not rest:
-        return [frozenset({x, y})]
-    sub = _perles(restrict(P, rest), m - 1)
+        return [x | y]
+    sub = _perles(up, down, comp, rest, m - 1)
     assert len(sub) == m - 1
-    return sub + [frozenset({x, y})]
+    return sub + [x | y]
 
 
 def disjointify_cover(

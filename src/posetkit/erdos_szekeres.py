@@ -16,7 +16,6 @@ from .dilworth import perles_chain_cover
 from .errors import (
     DuplicateValue,
     EmptyInput,
-    InstanceTooLarge,
     ValidationError,
     WrongCardinality,
 )
@@ -99,8 +98,6 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
         raise WrongCardinality("r and s must be non-negative")
     if len(P) != r * s + 1:
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
-    if len(P) > cap:
-        raise InstanceTooLarge(f"pre_es: instance has {len(P)} elements, cap is {cap}")
     widest = oracle.max_antichain(P, cap)
     if widest.size >= s + 1:
         return PosetWitness(ANTICHAIN, widest.witness)

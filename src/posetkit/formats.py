@@ -111,6 +111,12 @@ def _pair_list(value: Any, where: str) -> list[tuple[ElementId, ElementId]]:
     return pairs
 
 
+def _int(value: Any, where: str) -> int:
+    if type(value) is not int:
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _field(body: dict[str, Any], name: str) -> Any:
     if not isinstance(body, dict):
         raise ValidationError(f"expected an object with field {name!r}, got {body!r}")
@@ -293,12 +299,12 @@ def verify_certificate(
 
     Size pairs (a witness plus a cover of equal cardinality) are conclusive by
     counting; bare width/height claims are re-derived through the oracle."""
-    kind = cert["kind"]
+    kind = _field(cert, "kind")
 
     if kind in ("width", "height"):
         P: FinitePoset = _require_kind(inst, POSET, kind)
         witness = frozenset(_id_list(_field(cert, "witness"), "witness"))
-        size = _field(cert, "size")
+        size = _int(_field(cert, "size"), "size")
         predicate = is_antichain if kind == "width" else is_chain
         search = oracle.max_antichain if kind == "width" else oracle.max_chain
         if not predicate(P, witness):
@@ -311,7 +317,7 @@ def verify_certificate(
 
     if kind == "chain-cover":
         P = _require_kind(inst, POSET, kind)
-        w = _field(cert, "width")
+        w = _int(_field(cert, "width"), "width")
         antichain = frozenset(_id_list(_field(cert, "antichain"), "antichain"))
         cover = [frozenset(_id_list(c, "cover")) for c in _list(_field(cert, "cover"), "cover")]
         if not is_antichain(P, antichain) or len(antichain) != w:
@@ -324,7 +330,7 @@ def verify_certificate(
 
     if kind == "antichain-cover":
         P = _require_kind(inst, POSET, kind)
-        h = _field(cert, "height")
+        h = _int(_field(cert, "height"), "height")
         chain = frozenset(_id_list(_field(cert, "chain"), "chain"))
         layers = [frozenset(_id_list(c, "layers")) for c in _list(_field(cert, "layers"), "layers")]
         if not is_chain(P, chain) or len(chain) != h:
@@ -340,7 +346,7 @@ def verify_certificate(
         report = check_dilworth(P, oracle_cap)
         expected = report_certificate(report)
         for key in ("width", "cover_size", "equal"):
-            if cert.get(key) != expected[key]:
+            if cert.get(key) != expected[key] or type(cert.get(key)) is not type(expected[key]):
                 return False, f"report field {key!r} does not match a recomputation"
         return True, "ok"
 
@@ -349,7 +355,7 @@ def verify_certificate(
         report = check_mirsky(P, oracle_cap)
         expected = report_certificate(report)
         for key in ("height", "cover_size", "equal"):
-            if cert.get(key) != expected[key]:
+            if cert.get(key) != expected[key] or type(cert.get(key)) is not type(expected[key]):
                 return False, f"report field {key!r} does not match a recomputation"
         return True, "ok"
 
@@ -361,7 +367,7 @@ def verify_certificate(
             if not members <= G.left_set:
                 return False, "violating set is not a set of left vertices"
             lack = len(members) - len(neighborhood(G, members))
-            if lack < 1 or lack != _field(v, "deficiency"):
+            if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
                 return False, "violation does not recheck"
             return True, "ok"
         pairs = [(p[0], p[1]) for p in _pair_list(_field(cert, "pairs"), "pairs")]
@@ -378,7 +384,7 @@ def verify_certificate(
                 return False, "violating subfamily names unknown members"
             union = frozenset().union(*(family[nm] for nm in members)) if members else frozenset()
             lack = len(members) - len(union)
-            if lack < 1 or lack != _field(v, "deficiency"):
+            if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
                 return False, "violation does not recheck"
             return True, "ok"
         choice = _field(cert, "choice")
@@ -403,9 +409,9 @@ def verify_certificate(
             raise ValidationError(f"unknown direction {direction!r}")
         values = _list(_field(cert, "values"), "values")
         witness = SubseqWitness(direction, seq_from_list(values))
-        m, n = _field(cert, "m"), _field(cert, "n")
-        if type(m) is not int or type(n) is not int:
-            raise ValidationError("m, n: expected integers")
+        m, n = _int(_field(cert, "m"), "m"), _int(_field(cert, "n"), "n")
+        if len(parent) != m * n + 1:
+            return False, "instance does not have m*n+1 values"
         promised = m + 1 if direction == INCREASING else n + 1
         if len(witness.subsequence) != promised:
             return False, "witness does not have the promised length"

@@ -98,7 +98,7 @@ def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violatio
     smallest violating subset (lexicographically first among those)."""
     n = len(G.left)
     if n > cap:
-        raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap}")
+        raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
     index = {u: i for i, u in enumerate(G.left)}
     nbr = [0] * n
     rindex = {v: j for j, v in enumerate(G.right)}
@@ -151,10 +151,6 @@ def find_L_perfect_matching(
     if bad is not None:
         return bad
     P = graph_to_poset(G)
-    if len(P) > oracle_cap:
-        raise InstanceTooLarge(
-            f"find_L_perfect_matching: poset has {len(P)} elements, cap is {oracle_cap}"
-        )
     cert = perles_chain_cover(P, oracle_cap)
     assert cert.width == len(G.right), "right part must be a maximum antichain"
     cover = disjointify_cover(P, cert.cover, cap=oracle_cap)

@@ -15,7 +15,6 @@ from .core import (
     maximal_elements,
     restrict,
 )
-from .errors import InstanceTooLarge
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
@@ -71,8 +70,6 @@ def mirsky_antichain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Mir
 
 def check_mirsky(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> MirskyReport:
     """Surface the height = smallest-antichain-cover-size equality."""
-    if len(P) > cap:
-        raise InstanceTooLarge(f"check_mirsky: instance has {len(P)} elements, cap is {cap}")
     h = oracle.max_chain(P, cap)
     cert = mirsky_antichain_cover(P, cap)
     return MirskyReport(h.size, len(cert.layers), h.size == len(cert.layers))

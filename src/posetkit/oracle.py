@@ -17,6 +17,7 @@ from .core import (
     ChainCover,
     ElementId,
     FinitePoset,
+    _order_masks,
     canonical_cover,
     sorted_ids,
 )
@@ -38,9 +39,9 @@ class SizedWitness:
     size: int
 
 
-def _require_cap(n: int, cap: int, what: str) -> None:
+def _require_cap(n: int, cap: int, what: str, flag: str = "--oracle-cap") -> None:
     if n > cap:
-        raise InstanceTooLarge(f"{what}: instance has {n} elements, cap is {cap}")
+        raise InstanceTooLarge(f"{what}: instance has {n} elements, cap is {cap} (raise it with {flag})")
 
 
 def _conflict_masks(P: FinitePoset) -> tuple[tuple[ElementId, ...], list[int], list[int]]:
@@ -49,18 +50,11 @@ def _conflict_masks(P: FinitePoset) -> tuple[tuple[ElementId, ...], list[int], l
     Bit j of ``comp[i]`` marks that element j is comparable to (and distinct
     from) element i; ``incomp`` is the complement within the carrier.
     """
-    elems = P.elements
-    n = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    comp = [0] * n
-    for (x, y) in P.relation:
-        if x != y:
-            ix, iy = index[x], index[y]
-            comp[ix] |= 1 << iy
-            comp[iy] |= 1 << ix
-    full = (1 << n) - 1
-    incomp = [full & ~comp[i] & ~(1 << i) for i in range(n)]
-    return elems, comp, incomp
+    up, down = _order_masks(P)
+    comp = [u | d for u, d in zip(up, down)]
+    full = (1 << len(comp)) - 1
+    incomp = [full & ~c & ~(1 << i) for i, c in enumerate(comp)]
+    return P.elements, comp, incomp
 
 
 def _lex_first_max_compatible(n: int, conflict: list[int]) -> list[int]:
@@ -114,26 +108,32 @@ def iter_antichains_of_size(P: FinitePoset, k: int) -> Iterator[frozenset[Elemen
     """All antichains of exactly k elements, in lexicographic order of their
     sorted id sequences."""
     elems, comp, _ = _conflict_masks(P)
-    n = len(elems)
-    if k <= 0 or k > n:
-        return
+    for mask in _antichain_masks(comp, (1 << len(elems)) - 1, k, None):
+        yield frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
 
-    def search(chosen: list[int], cand: int) -> Iterator[frozenset[ElementId]]:
-        if len(chosen) == k:
-            yield frozenset(elems[i] for i in chosen)
-            return
-        rest = cand
-        while rest:
-            if len(chosen) + bin(rest).count("1") < k:
-                return
+
+def _antichain_masks(comp: list[int], cand: int, k: int, limit: int | None) -> list[int]:
+    """The first ``limit`` (None: all) antichains of exactly k elements inside
+    the mask ``cand``, as masks, in lexicographic order of their sorted index
+    sequences; bit j of ``comp[i]`` marks j comparable to i."""
+    found: list[int] = []
+
+    def search(chosen: int, size: int, rest: int) -> bool:
+        if size == k:
+            found.append(chosen)
+            return len(found) == limit
+        count = rest.bit_count()  # of rest, which loses one bit a turn
+        while size + count >= k:
             bit = rest & -rest
             rest ^= bit
-            i = bit.bit_length() - 1
-            chosen.append(i)
-            yield from search(chosen, rest & ~comp[i])
-            chosen.pop()
+            count -= 1
+            if search(chosen | bit, size + 1, rest & ~comp[bit.bit_length() - 1]):
+                return True
+        return False
 
-    yield from search([], (1 << n) - 1)
+    if k > 0:
+        search(0, 0, cand)
+    return found
 
 
 def _min_compatible_partition(n: int, conflict: list[int], lower_bound: int) -> list[int]:
@@ -200,7 +200,7 @@ def min_chain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> ChainCover:
     """A chain cover of minimum cardinality, found by exhaustive partition
     search (any cover can be made disjoint without growing, so partitions
     suffice)."""
-    _require_cap(len(P), cap, "min_chain_cover")
+    _require_cap(len(P), cap, "min_chain_cover", "cap=")
     elems, comp, incomp = _conflict_masks(P)
     width = len(_lex_first_max_compatible(len(elems), comp))
     blocks = _min_compatible_partition(len(elems), incomp, width)
@@ -212,7 +212,7 @@ def min_chain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> ChainCover:
 
 def min_antichain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> AntichainCover:
     """An antichain cover of minimum cardinality by exhaustive partition search."""
-    _require_cap(len(P), cap, "min_antichain_cover")
+    _require_cap(len(P), cap, "min_antichain_cover", "cap=")
     elems, comp, incomp = _conflict_masks(P)
     height = len(_lex_first_max_compatible(len(elems), incomp))
     blocks = _min_compatible_partition(len(elems), comp, height)
@@ -229,7 +229,7 @@ def enumerate_posets(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[FinitePose
     antisymmetry holds by construction and transitivity is checked, so the
     survivors are exactly the strict orders, i.e. the posets.
     """
-    _require_cap(n, cap, "enumerate_posets")
+    _require_cap(n, cap, "enumerate_posets", "cap=")
     elems = sorted_ids(f"e{i + 1}" for i in range(n))
     pairs = list(combinations(range(n), 2))
     for assignment in product((0, 1, 2), repeat=len(pairs)):

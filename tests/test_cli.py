@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetkit
 from posetkit import find_sdr, formats
 from posetkit.cli import run_command
 from posetkit.errors import ParseError, ValidationError
@@ -156,6 +161,34 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(ValidationError):
         formats.parse_instance(json.dumps({"kind": "sequence", "values": [1.5]}))
+
+
+@pytest.mark.parametrize("command,payload,flag", [
+    ("chain-cover", {"kind": "poset", "elements": [f"e{i}" for i in range(21)], "edges": []},
+     "--oracle-cap"),
+    ("matching", {"kind": "bigraph", "left": [f"l{i}" for i in range(10)],
+                  "right": [f"r{i}" for i in range(11)],
+                  "edges": [[f"l{i}", f"r{i}"] for i in range(10)]}, "--oracle-cap"),
+    ("matching", {"kind": "bigraph", "left": [f"l{i}" for i in range(21)], "right": ["r"],
+                  "edges": []}, "--subset-cap"),
+], ids=["chain-cover", "matching-poset", "matching-left-part"])
+def test_oversized_instance_names_the_flag_that_raises_the_cap(tmp_path, capsys, command, payload, flag):
+    inst = write(tmp_path, "big.json", payload)
+    assert run_command([command, inst]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+def test_a_bad_argv_leaves_the_next_run_as_a_fresh_process_would(tmp_path, capsys):
+    inst = write(tmp_path, "p3.json", P3)
+    env = dict(os.environ, PYTHONPATH=str(Path(posetkit.__file__).resolve().parents[1]))
+    for argv in (["--oracle-cap", "x", "chain-cover", inst], ["chain-cover", inst]):
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "posetkit.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and fresh.stdout
 
 
 # --- verification -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 
 from posetkit import (
     build_poset,
+    formats,
     canonical_cover,
     check_dilworth,
     disjointify_cover,
@@ -20,6 +22,7 @@ from posetkit import (
     verify_chain_cover,
     width,
 )
+from posetkit.core import _order_masks
 from posetkit.dilworth import _matching_width
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
@@ -175,7 +178,7 @@ def seeded_posets(posets_upto_4, posets_n5):
 
 def test_matching_width_equals_oracle_width(seeded_posets):
     for P in seeded_posets:
-        assert _matching_width(P) == max_antichain(P).size
+        assert _matching_width(_order_masks(P)[0]) == max_antichain(P).size
 
 
 def test_perles_witness_is_the_oracle_witness(seeded_posets):
@@ -200,3 +203,46 @@ def test_perles_width_above_cap_matches_networkx(n):
     cert = perles_chain_cover(P, cap=n)
     assert cert.width == n - len(matching) // 2
     assert_certifies(P, cert)
+
+
+# --- byte identity of the certificates ------------------------------------------
+
+
+def _standard_example(k):
+    """S_k: a_i < b_j exactly when i != j; width k, every maximum antichain extremal."""
+    return build_poset([f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)],
+                       [(f"a{i}", f"b{j}") for i in range(k) for j in range(k) if i != j])
+
+
+def _grid(rows, cols):
+    """The product of a rows-chain and a cols-chain."""
+    return build_poset([(i * cols + j) for i in range(rows) for j in range(cols)],
+                       [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+                       + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
+
+
+def _sparse_poset(rng, n, p):
+    names = [f"v{i}" for i in range(n)]
+    return build_poset(names, [(names[i], names[j]) for i in range(n)
+                               for j in range(i + 1, n) if rng.random() < p])
+
+
+# sha256 of the certificates the generator-driven Perles recursion over
+# restricted FinitePosets wrote for the corpus below; the mask recursion must
+# reproduce them byte for byte.
+CERTIFICATES_SHA256 = "ae0e8b1416bc2da8571a54e8fd218f976b5b0603aaf84db4852eaea35da84e1a"
+
+
+def test_chain_cover_certificates_are_byte_identical():
+    rng = random.Random(3)
+    corpus = [(random_poset(rng, rng.randint(5, 20)), 20) for _ in range(280)]
+    corpus += [(_standard_example(k), 20) for k in range(1, 11)]
+    corpus += [(_grid(r, c), 20) for r in range(1, 5) for c in range(r, 6) if r * c <= 20]
+    corpus += [(_sparse_poset(rng, rng.randint(28, 36), rng.choice((0.05, 0.1))), 48)
+               for _ in range(10)]
+    digest = hashlib.sha256()
+    for P, cap in corpus:
+        cert = perles_chain_cover(P, cap)
+        digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
+    assert len(corpus) == 314
+    assert digest.hexdigest() == CERTIFICATES_SHA256
