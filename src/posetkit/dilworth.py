@@ -13,6 +13,12 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
+A frame below the top with |S| <= m + 1 takes case 2 unsearched.  |S| = m
+makes S an antichain, equal to both extremal ones.  At |S| = m + 1 a size-m
+antichain S − {v} leaves v in every comparable pair, never strictly between
+two elements (their pair would miss v), so S − {v} is the minimal or the
+maximal elements; so are S − {a} and S − {b} for a single pair a < b.
+
 A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
 by id, so ascending bit order is id order: the lexicographically first witness
 and every tie-break are those of the same recursion over restricted posets.
@@ -83,8 +89,8 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
 
 
 def _matching_width(up: list[int]) -> int:
-    """n − |M| for a maximum matching M on the edges x⁻ → y⁺ with x < y (bit y
-    of ``up[x]``), grown by Kuhn's augmenting paths."""
+    """len(up) − |M| for a maximum matching M of each x to bits y of ``up[x]``,
+    by Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺)."""
     owner: dict[int, int] = {}  # y -> the x matched to it
     seen = 0
 
@@ -127,8 +133,9 @@ def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
         if not up[i] & S:
             max_set |= bit
     if found is None:
-        # At most two size-m antichains are extremal, so a third is not.
-        found = oracle._antichain_masks(comp, S, m, 3)
+        # At most two size-m antichains are extremal, so a third is not.  On
+        # |S| <= m + 1 all of them are (see the module docstring).
+        found = [] if S.bit_count() <= m + 1 else oracle._antichain_masks(comp, S, m, 3)
     chosen = next((c for c in found if c != max_set and c != min_set), None)
 
     if chosen is not None:

@@ -100,6 +100,13 @@ def _id_list(value: Any, where: str) -> list[ElementId]:
     return [_id_entry(x, where) for x in _list(value, where)]
 
 
+def _id_set(value: Any, where: str) -> frozenset[ElementId]:
+    ids = _id_list(value, where)
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{where}: an id is listed twice")
+    return frozenset(ids)
+
+
 def _pair_list(value: Any, where: str) -> list[tuple[ElementId, ElementId]]:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list of pairs")
@@ -303,7 +310,7 @@ def verify_certificate(
 
     if kind in ("width", "height"):
         P: FinitePoset = _require_kind(inst, POSET, kind)
-        witness = frozenset(_id_list(_field(cert, "witness"), "witness"))
+        witness = _id_set(_field(cert, "witness"), "witness")
         size = _int(_field(cert, "size"), "size")
         predicate = is_antichain if kind == "width" else is_chain
         search = oracle.max_antichain if kind == "width" else oracle.max_chain
@@ -318,8 +325,8 @@ def verify_certificate(
     if kind == "chain-cover":
         P = _require_kind(inst, POSET, kind)
         w = _int(_field(cert, "width"), "width")
-        antichain = frozenset(_id_list(_field(cert, "antichain"), "antichain"))
-        cover = [frozenset(_id_list(c, "cover")) for c in _list(_field(cert, "cover"), "cover")]
+        antichain = _id_set(_field(cert, "antichain"), "antichain")
+        cover = [_id_set(c, "cover") for c in _list(_field(cert, "cover"), "cover")]
         if not is_antichain(P, antichain) or len(antichain) != w:
             return False, "antichain witness invalid or of the wrong size"
         if not verify_chain_cover(P, cover):
@@ -331,8 +338,8 @@ def verify_certificate(
     if kind == "antichain-cover":
         P = _require_kind(inst, POSET, kind)
         h = _int(_field(cert, "height"), "height")
-        chain = frozenset(_id_list(_field(cert, "chain"), "chain"))
-        layers = [frozenset(_id_list(c, "layers")) for c in _list(_field(cert, "layers"), "layers")]
+        chain = _id_set(_field(cert, "chain"), "chain")
+        layers = [_id_set(c, "layers") for c in _list(_field(cert, "layers"), "layers")]
         if not is_chain(P, chain) or len(chain) != h:
             return False, "chain witness invalid or of the wrong size"
         if not verify_antichain_cover(P, layers):
@@ -363,8 +370,9 @@ def verify_certificate(
         G: BipartiteGraph = _require_kind(inst, BIGRAPH, kind)
         if "violation" in cert:
             v = cert["violation"]
-            members = frozenset(_id_list(_field(v, "set"), "violation.set"))
-            if not members <= G.left_set:
+            names = _id_list(_field(v, "set"), "violation.set")
+            members = frozenset(names)
+            if len(members) != len(names) or not members <= G.left_set:
                 return False, "violating set is not a set of left vertices"
             lack = len(members) - len(neighborhood(G, members))
             if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
@@ -380,6 +388,8 @@ def verify_certificate(
         if "violation" in cert:
             v = cert["violation"]
             members = _id_list(_field(v, "set"), "violation.set")
+            if len(set(members)) != len(members):
+                return False, "violating subfamily names a member twice"
             if not set(members) <= set(family):
                 return False, "violating subfamily names unknown members"
             union = frozenset().union(*(family[nm] for nm in members)) if members else frozenset()

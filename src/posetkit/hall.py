@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
-from .core import ElementId, FinitePoset, build_poset, id_key, sorted_ids
-from .dilworth import disjointify_cover, perles_chain_cover
+from .core import ElementId, FinitePoset, build_poset, id_key, is_antichain, sorted_ids, verify_chain_cover
+from .dilworth import _matching_width, disjointify_cover, perles_chain_cover
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP
 
@@ -124,8 +124,8 @@ def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
 def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]], require_L_perfect: bool) -> bool:
     """Check pairs are edges, endpoints are disjoint, and (optionally) every
     left vertex is matched."""
-    pairs = set(M)
-    if not pairs <= G.edges:
+    pairs = list(M)  # a pair listed twice shares its endpoints
+    if not set(pairs) <= G.edges:
         return False
     lefts = [u for (u, _) in pairs]
     rights = [v for (_, v) in pairs]
@@ -143,17 +143,26 @@ def find_L_perfect_matching(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> Matching | Violation:
     """A matching covering every left vertex, or the Hall violation that rules
-    one out.
+    one out; the subsets are enumerated only when Kuhn's maximum matching
+    misses a left vertex (Hall's theorem), to name the smallest violation.
 
     Construction: chain-cover the graph poset (the cover size is |R|), make
     the cover disjoint, and read the two-element chains as matched pairs."""
-    bad = hall_condition(G, subset_cap)
-    if bad is not None:
+    rindex = {v: j for j, v in enumerate(G.right)}
+    nbr = dict.fromkeys(G.left, 0)
+    for (u, v) in G.edges:
+        nbr[u] |= 1 << rindex[v]
+    if len(G.left) > subset_cap or _matching_width(list(nbr.values())):
+        bad = hall_condition(G, subset_cap)  # above the cap: the --subset-cap error
+        assert bad is not None
         return bad
     P = graph_to_poset(G)
     cert = perles_chain_cover(P, oracle_cap)
-    assert cert.width == len(G.right), "right part must be a maximum antichain"
-    cover = disjointify_cover(P, cert.cover, cap=oracle_cap)
+    # An antichain and a chain cover of equal size are both optimal (weak
+    # duality), so the cover is a smallest one without a second width search.
+    assert len(cert.antichain_witness) == len(cert.cover) == len(G.right)
+    assert verify_chain_cover(P, cert.cover) and is_antichain(P, cert.antichain_witness)
+    cover = disjointify_cover(P, cert.cover, check_minimality=False)
     pairs = set()
     for chain in cover:
         if len(chain) == 2:

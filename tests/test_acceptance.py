@@ -15,9 +15,11 @@ import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import posetkit
 from posetkit import (
     Violation,
     build_bigraph,
@@ -271,7 +273,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         from posetkit.formats import parse_certificate, parse_instance, verify_certificate
 
         def run_in_subprocess(argv, hash_seed):
-            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=str(Path(posetkit.__file__).resolve().parents[1]))
             proc = subprocess.run(
                 [sys.executable, "-m", "posetkit.cli", *argv],
                 capture_output=True, env=env, check=False)

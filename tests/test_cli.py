@@ -268,6 +268,22 @@ def test_verify_matching_and_sdr_violations_recheck(tmp_path, capsys):
     assert code == 1 and out["valid"] is False
 
 
+def test_verify_rejects_a_violation_that_names_a_member_twice(tmp_path, capsys):
+    # {"S1": ["x"]} has an SDR; counting S1 twice forged a deficiency of 1.
+    fam = write(tmp_path, "f.json", {"kind": "family", "members": {"S1": ["x"]}})
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(
+        {"kind": "sdr", "violation": {"set": ["S1", "S1"], "deficiency": 1}}))
+    code, out = run(tmp_path, capsys, "verify", fam, str(forged))
+    assert code == 1 and out["valid"] is False
+
+    graph = write(tmp_path, "g.json", BADGRAPH)
+    forged.write_text(json.dumps(
+        {"kind": "matching", "violation": {"set": ["l1", "l2", "l2"], "deficiency": 1}}))
+    code, out = run(tmp_path, capsys, "verify", graph, str(forged))
+    assert code == 1 and out["valid"] is False
+
+
 def test_verify_sdr_rejects_repeated_representative(tmp_path, capsys):
     fam = write(tmp_path, "f.json",
                 {"kind": "family", "members": {"S1": ["x", "y"], "S2": ["x"]}})

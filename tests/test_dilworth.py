@@ -13,10 +13,12 @@ from posetkit import (
     formats,
     canonical_cover,
     check_dilworth,
+    dilworth,
     disjointify_cover,
     is_antichain,
     max_antichain,
     min_chain_cover,
+    oracle,
     perles_chain_cover,
     restrict,
     verify_chain_cover,
@@ -203,6 +205,56 @@ def test_perles_width_above_cap_matches_networkx(n):
     cert = perles_chain_cover(P, cap=n)
     assert cert.width == n - len(matching) // 2
     assert_certifies(P, cert)
+
+
+# --- the small-carrier rule ----------------------------------------------------
+
+
+def test_small_carriers_have_only_extremal_maximum_antichains(posets_upto_4, posets_n5):
+    """On a carrier S with |S| <= width(S) + 1 every maximum antichain is the
+    minimal or the maximal elements of S, so Perles' case 2 needs no search."""
+    carriers = 0
+    for P in posets_upto_4 + posets_n5:
+        up, down = _order_masks(P)
+        comp = [u | d for u, d in zip(up, down)]
+        for S in range(1, 1 << len(P)):
+            size = S.bit_count()
+            # width(S) >= |S| - 1 exactly when one of these searches finds some
+            found = (oracle._antichain_masks(comp, S, size, 3)
+                     or oracle._antichain_masks(comp, S, size - 1, 3))
+            if not found:
+                continue
+            carriers += 1
+            bits = [i for i in range(len(P)) if S >> i & 1]
+            min_set = sum(1 << i for i in bits if not down[i] & S)
+            max_set = sum(1 << i for i in bits if not up[i] & S)
+            assert set(found) <= {min_set, max_set}, (P, bin(S))
+    assert carriers == 103_909
+
+
+def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
+    """Below the top frame, a carrier with |S| <= m + 1 never reaches the
+    antichain search, and such frames do occur."""
+    slack: list[int] = []
+    small = 0
+    search, perles = oracle._antichain_masks, dilworth._perles
+
+    def counting_search(comp, S, k, limit):
+        slack.append(S.bit_count() - k)
+        return search(comp, S, k, limit)
+
+    def counting_perles(up, down, comp, S, m, found=None):
+        nonlocal small
+        small += found is None and S.bit_count() <= m + 1
+        return perles(up, down, comp, S, m, found)
+
+    monkeypatch.setattr(oracle, "_antichain_masks", counting_search)
+    monkeypatch.setattr(dilworth, "_perles", counting_perles)
+    for P in seeded_posets:
+        slack.clear()
+        perles_chain_cover(P)
+        assert all(s > 1 for s in slack[1:]), P  # slack[0] is the top frame's witness search
+    assert small > 0
 
 
 # --- byte identity of the certificates ------------------------------------------

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,7 +13,9 @@ from posetkit import (
     build_bigraph,
     find_L_perfect_matching,
     find_sdr,
+    formats,
     graph_to_poset,
+    hall,
     hall_condition,
     max_chain,
     neighborhood,
@@ -203,3 +206,79 @@ def test_sdr_many_members_within_caps():
     assert isinstance(out, dict)
     assert all(out[nm] in family[nm] for nm in family)
     assert len(set(out.values())) == len(family)
+
+
+def test_hall_condition_runs_only_without_an_L_perfect_matching(monkeypatch):
+    calls = []
+
+    def counting(G, cap):
+        calls.append(G)
+        assert not ref_matching_exists(G)
+        return hall_condition(G, cap)
+
+    monkeypatch.setattr(hall, "hall_condition", counting)
+    rng = random.Random(15)
+    graphs = [random_bigraph(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)]
+    results = [find_L_perfect_matching(G) for G in graphs]
+    assert sum(isinstance(r, Violation) for r in results) == len(calls) > 0
+
+
+def test_subset_cap_holds_when_a_matching_exists():
+    G = build_bigraph(["l1", "l2"], ["r1", "r2"], [("l1", "r1"), ("l2", "r2")])
+    with pytest.raises(InstanceTooLarge, match="--subset-cap"):
+        find_L_perfect_matching(G, subset_cap=1)
+
+
+# --- byte identity of the certificates ------------------------------------------
+
+
+def _cycle_bigraph(rng, k, drop_right=False):
+    """l_i is adjacent to r_i and r_{i+1 mod k}, under shuffled labels; Hall's
+    condition holds, and fails on L itself once a right vertex is dropped."""
+    left = [f"l{i:02d}" for i in range(k)]
+    right = [f"r{i:02d}" for i in range(k)]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = [(left[i], right[j % k]) for i in range(k) for j in (i, i + 1)]
+    if drop_right:
+        edges = [(u, v) for (u, v) in edges if v != right[0]]
+        right = right[1:]
+    return build_bigraph(left, right, edges)
+
+
+# sha256 of the matching and SDR certificates that the exhaustive Hall
+# check followed by a width-checked disjointification wrote for the corpus
+# below: the criterion-5 graphs, the criterion-6 families and cycle bigraphs
+# with |L| = 10..16.
+MATCHING_SDR_SHA256 = "f79fcdbd9b4b3a19677a9907c0dae40e7c765fcc46a62c324e394b56e1d6d834"
+
+
+def test_matching_and_sdr_certificates_are_byte_identical():
+    lefts, rights = ("l1", "l2", "l3"), ("r1", "r2", "r3")
+    all_edges = [(u, v) for u in lefts for v in rights]
+    graphs = [(build_bigraph(lefts, rights, [e for e, take in zip(all_edges, picks) if take]), 20)
+              for picks in product((False, True), repeat=9)]
+    rng = random.Random(20260811)
+    graphs += [(random_bigraph(rng, rng.randint(1, 6), rng.randint(1, 6)), 20) for _ in range(500)]
+    rng = random.Random(4)
+    graphs += [(_cycle_bigraph(rng, k), 24) for k in range(10, 17)]
+    graphs += [(_cycle_bigraph(rng, k, drop_right=True), 24) for k in range(10, 13)]
+
+    universe = ["x1", "x2", "x3", "x4"]
+    subsets = [frozenset(c) for k in range(5) for c in combinations(universe, k)]
+    families = [{f"S{i + 1}": s for i, s in enumerate(member_sets)}
+                for size in (1, 2, 3, 4) for member_sets in product(subsets, repeat=size)]
+    rng = random.Random(20260812)
+    wide = [f"y{i}" for i in range(6)]
+    families += [{f"S{i}": frozenset(u for u in wide if rng.random() < 0.4)
+                  for i in range(rng.randint(5, 8))} for _ in range(200)]
+
+    digest = hashlib.sha256()
+    for G, subset_cap in graphs:
+        result = find_L_perfect_matching(G, subset_cap=subset_cap, oracle_cap=48)
+        digest.update(formats.canonical_json(formats.matching_certificate(result, True)).encode())
+    for family in families:
+        cert = formats.sdr_certificate(find_sdr(family), True)
+        digest.update(formats.canonical_json(cert).encode())
+    assert (len(graphs), len(families)) == (1022, 70104)
+    assert digest.hexdigest() == MATCHING_SDR_SHA256

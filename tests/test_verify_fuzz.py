@@ -2,9 +2,9 @@
 diagnostic, and never with another exception.
 
 Every mutation here breaks the certificate it is applied to: a dropped key or
-list entry, a value of another JSON type, an id or a number no instance
-holds.  The ``meta`` block is documentation that ``verify`` does not read, so
-it is left alone.
+list entry, a list entry given twice, a value of another JSON type, an id or
+a number no instance holds.  The ``meta`` block is documentation that
+``verify`` does not read, so it is left alone.
 """
 
 from __future__ import annotations
@@ -85,10 +85,13 @@ def mutate(cert, draw):
     for key in path[:-1]:
         parent = parent[key]
     value = parent[path[-1]]
-    op = draw(st.sampled_from(["drop", "retype", "replace"] if not isinstance(value, dict)
-                              else ["drop", "retype"]))
+    ops = ["drop", "retype"] if isinstance(value, dict) else ["drop", "retype", "replace"]
+    op = draw(st.sampled_from(ops + ["duplicate"] if isinstance(value, list) and value else ops))
     if op == "drop":
         del parent[path[-1]]
+    elif op == "duplicate":
+        i = draw(st.integers(0, len(value) - 1))
+        value.insert(i, copy.deepcopy(value[i]))
     elif op == "retype":
         other = draw(st.sampled_from([t for t in JSON_VALUES if t is not type(value)]))
         parent[path[-1]] = draw(JSON_VALUES[other])
