@@ -13,15 +13,9 @@ import functools
 import sys
 
 from . import formats
-from .dilworth import check_dilworth, perles_chain_cover, width
-from .erdos_szekeres import es_subsequence
-from .errors import PosetKitError, ValidationError
-from .hall import DEFAULT_SUBSET_CAP, find_L_perfect_matching, find_sdr
-from .mirsky import check_mirsky, height, mirsky_antichain_cover
+from .errors import PosetKitError
+from .hall import DEFAULT_SUBSET_CAP
 from .oracle import DEFAULT_ORACLE_CAP
-
-_POSET_COMMANDS = ("width", "height", "chain-cover", "antichain-cover",
-                   "check-dilworth", "check-mirsky")
 
 
 @functools.cache  # parsing leaves the parser as it was; stderr is looked up per call
@@ -37,21 +31,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max left-part size for Hall subset enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("width", "largest antichain of a poset instance"),
-        ("height", "largest chain of a poset instance"),
-        ("chain-cover", "chain cover of size equal to the width, with witness"),
-        ("antichain-cover", "antichain cover of size equal to the height, with witness"),
-        ("check-dilworth", "report width vs. smallest-chain-cover size"),
-        ("check-mirsky", "report height vs. smallest-antichain-cover size"),
-        ("matching", "L-perfect matching of a bigraph instance, or a Hall violation"),
-        ("sdr", "distinct representatives of a family instance, or a violating subfamily"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for row in formats.CERTIFICATE_KINDS.values():
+        cmd = sub.add_parser(row.command, help=row.help)
         cmd.add_argument("instance", help="instance JSON file")
-
-    cmd = sub.add_parser("es", help="monotone subsequence of a sequence instance")
-    cmd.add_argument("instance", help="instance JSON file")
+        cmd.set_defaults(row=row)
+    cmd = sub.choices["es"]
     cmd.add_argument("-m", type=int, required=True,
                      help="increasing target length minus one (|values| must be m*n+1)")
     cmd.add_argument("-n", type=int, required=True,
@@ -77,56 +61,18 @@ def run_command(argv: list[str]) -> int:
 
     try:
         inst = formats.parse_instance(_read(args.instance))
-        if args.command in _POSET_COMMANDS and inst.kind != formats.POSET:
-            raise ValidationError(
-                f"command {args.command!r} needs a poset instance, got {inst.kind!r}")
-
-        if args.command == "width":
-            out = formats.size_certificate("width", width(inst.data, args.oracle_cap))
-        elif args.command == "height":
-            out = formats.size_certificate("height", height(inst.data, args.oracle_cap))
-        elif args.command == "chain-cover":
-            out = formats.chain_cover_certificate(perles_chain_cover(inst.data, args.oracle_cap))
-        elif args.command == "antichain-cover":
-            out = formats.antichain_cover_certificate(mirsky_antichain_cover(inst.data, args.oracle_cap))
-        elif args.command == "check-dilworth":
-            out = formats.report_certificate(check_dilworth(inst.data, args.oracle_cap))
-        elif args.command == "check-mirsky":
-            out = formats.report_certificate(check_mirsky(inst.data, args.oracle_cap))
-        elif args.command == "matching":
-            if inst.kind != formats.BIGRAPH:
-                raise ValidationError(f"command 'matching' needs a bigraph instance, got {inst.kind!r}")
-            result = find_L_perfect_matching(inst.data, subset_cap=args.subset_cap,
-                                             oracle_cap=args.oracle_cap)
-            checked = len(inst.data.left) + len(inst.data.right) <= args.oracle_cap
-            out = formats.matching_certificate(result, minimality_checked=checked)
-        elif args.command == "sdr":
-            if inst.kind != formats.FAMILY:
-                raise ValidationError(f"command 'sdr' needs a family instance, got {inst.kind!r}")
-            result = find_sdr(inst.data, subset_cap=args.subset_cap, oracle_cap=args.oracle_cap)
-            ground = set().union(*inst.data.values()) if inst.data else set()
-            checked = len(inst.data) + len(ground) <= args.oracle_cap
-            out = formats.sdr_certificate(result, minimality_checked=checked)
-        elif args.command == "es":
-            if inst.kind != formats.SEQUENCE:
-                raise ValidationError(f"command 'es' needs a sequence instance, got {inst.kind!r}")
-            witness = es_subsequence(inst.data, args.m, args.n, args.oracle_cap)
-            out = formats.subsequence_certificate(witness, args.m, args.n)
-        else:
+        if args.command == "verify":
             cert = formats.parse_certificate(_read(args.certificate))
             ok, detail = formats.verify_certificate(inst, cert, oracle_cap=args.oracle_cap)
             out = {"kind": "verification", "valid": ok, "detail": detail}
             sys.stdout.write(formats.canonical_json(out))
             return 0 if ok else 1
-
+        data = formats.instance_data(inst, args.row, f"command {args.command!r}")
+        out = args.row.solve(data, args)
         sys.stdout.write(formats.canonical_json(out))
-        if isinstance(out, dict) and "violation" in out:
-            return 1
-        return 0
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PosetKitError as e:
+        return 1 if "violation" in out else 0
+    except (OSError, PosetKitError, RecursionError) as e:
+        # A recursive solver past Python's stack limit is a diagnostic too.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ downstream can stay purely combinatorial.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
@@ -26,10 +25,6 @@ ElementId = str | int
 # Chains and antichains in a cover, in canonical order.
 ChainCover = tuple[frozenset[ElementId], ...]
 AntichainCover = tuple[frozenset[ElementId], ...]
-
-# Carriers past this size make the exhaustive oracles impractical; loading one
-# is allowed but warned about.
-DEFAULT_BUILD_CAP = 64
 
 
 def id_key(x: ElementId) -> tuple[bool, ElementId]:
@@ -103,8 +98,6 @@ class FinitePoset:
 def build_poset(
     elements: Iterable[ElementId],
     strict_edges: Iterable[tuple[ElementId, ElementId]],
-    *,
-    size_warning: int = DEFAULT_BUILD_CAP,
 ) -> FinitePoset:
     """Validate and close an edge set into a :class:`FinitePoset`.
 
@@ -120,12 +113,6 @@ def build_poset(
         dup = next(e for e in elems if elems.count(e) > 1)
         raise ValidationError(f"duplicate id {dup!r} in carrier")
     carrier = set(elems)
-    if len(carrier) > size_warning:
-        warnings.warn(
-            f"carrier has {len(carrier)} elements; exhaustive oracles are "
-            f"impractical beyond {size_warning}",
-            stacklevel=2,
-        )
 
     succ: dict[ElementId, set[ElementId]] = {e: set() for e in elems}
     for edge in strict_edges:

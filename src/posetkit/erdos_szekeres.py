@@ -49,9 +49,6 @@ class IntSeq:
     def values(self) -> frozenset[int]:
         return frozenset(self.items)
 
-    def precedes(self, x: int, y: int) -> bool:
-        return self.items.index(x) < self.items.index(y)
-
     def __len__(self) -> int:
         return len(self.items)
 

@@ -3,14 +3,16 @@
 Instances and certificates are JSON.  Serialization is canonical: dictionary
 keys are sorted, sets appear as id-sorted lists, and covers list their chains
 by smallest element, so identical inputs always produce identical bytes and
-certificates stay diffable.
+certificates stay diffable.  Each certificate kind is one row of
+:data:`CERTIFICATE_KINDS`; the CLI's commands and :func:`verify_certificate`
+both read that table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import oracle
 from .core import (
@@ -25,12 +27,13 @@ from .core import (
     verify_antichain_cover,
     verify_chain_cover,
 )
-from .dilworth import DilworthCertificate, DilworthReport, check_dilworth
+from .dilworth import DilworthCertificate, DilworthReport, check_dilworth, perles_chain_cover, width
 from .erdos_szekeres import (
     DECREASING,
     INCREASING,
     IntSeq,
     SubseqWitness,
+    es_subsequence,
     seq_from_list,
     verify_subseq,
 )
@@ -38,12 +41,15 @@ from .errors import ParseError, PosetKitError, ValidationError
 from .hall import (
     BipartiteGraph,
     Matching,
+    SetFamily,
     Violation,
     build_bigraph,
+    find_L_perfect_matching,
+    find_sdr,
     neighborhood,
     verify_matching,
 )
-from .mirsky import MirskyCertificate, MirskyReport, check_mirsky
+from .mirsky import MirskyCertificate, MirskyReport, check_mirsky, height, mirsky_antichain_cover
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 POSET = "poset"
@@ -288,11 +294,197 @@ def parse_certificate(data: bytes | str) -> dict[str, Any]:
     return body
 
 
-def _require_kind(inst: Instance, kind: str, cert_kind: str) -> Any:
-    if inst.kind != kind:
-        raise ValidationError(
-            f"certificate kind {cert_kind!r} needs a {kind!r} instance, got {inst.kind!r}"
-        )
+def _verify_size(
+    P: FinitePoset,
+    cert: dict[str, Any],
+    oracle_cap: int,
+    kind: str,
+    predicate: Callable[[FinitePoset, frozenset[ElementId]], bool],
+    search: Callable[[FinitePoset, int], SizedWitness],
+) -> tuple[bool, str]:
+    witness = _id_set(_field(cert, "witness"), "witness")
+    size = _int(_field(cert, "size"), "size")
+    if not predicate(P, witness):
+        return False, f"witness is not a valid {kind} witness"
+    if len(witness) != size:
+        return False, "claimed size does not match the witness"
+    if search(P, oracle_cap).size != size:
+        return False, f"poset {kind} differs from the claimed size"
+    return True, "ok"
+
+
+def _verify_chain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+    w = _int(_field(cert, "width"), "width")
+    antichain = _id_set(_field(cert, "antichain"), "antichain")
+    cover = [_id_set(c, "cover") for c in _list(_field(cert, "cover"), "cover")]
+    if not is_antichain(P, antichain) or len(antichain) != w:
+        return False, "antichain witness invalid or of the wrong size"
+    if not verify_chain_cover(P, cover):
+        return False, "cover is not a chain cover"
+    if len(cover) != w:
+        return False, "cover size does not match the claimed width"
+    return True, "ok"
+
+
+def _verify_antichain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+    h = _int(_field(cert, "height"), "height")
+    chain = _id_set(_field(cert, "chain"), "chain")
+    layers = [_id_set(c, "layers") for c in _list(_field(cert, "layers"), "layers")]
+    if not is_chain(P, chain) or len(chain) != h:
+        return False, "chain witness invalid or of the wrong size"
+    if not verify_antichain_cover(P, layers):
+        return False, "layers are not an antichain cover"
+    if len(layers) != h:
+        return False, "layer count does not match the claimed height"
+    return True, "ok"
+
+
+def _verify_report(cert: dict[str, Any], expected: dict[str, Any]) -> tuple[bool, str]:
+    for key, value in expected.items():  # "kind" matches: it picked this check
+        if cert.get(key) != value or type(cert.get(key)) is not type(value):
+            return False, f"report field {key!r} does not match a recomputation"
+    return True, "ok"
+
+
+def _verify_matching(G: BipartiteGraph, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+    if "violation" in cert:
+        v = cert["violation"]
+        names = _id_list(_field(v, "set"), "violation.set")
+        members = frozenset(names)
+        if len(members) != len(names) or not members <= G.left_set:
+            return False, "violating set is not a set of left vertices"
+        lack = len(members) - len(neighborhood(G, members))
+        if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
+            return False, "violation does not recheck"
+        return True, "ok"
+    pairs = [(p[0], p[1]) for p in _pair_list(_field(cert, "pairs"), "pairs")]
+    if not verify_matching(G, pairs, require_L_perfect=True):
+        return False, "pairs are not an L-perfect matching"
+    return True, "ok"
+
+
+def _verify_sdr(family: SetFamily, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+    if "violation" in cert:
+        v = cert["violation"]
+        members = _id_list(_field(v, "set"), "violation.set")
+        if len(set(members)) != len(members):
+            return False, "violating subfamily names a member twice"
+        if not set(members) <= set(family):
+            return False, "violating subfamily names unknown members"
+        union = frozenset().union(*(family[nm] for nm in members)) if members else frozenset()
+        lack = len(members) - len(union)
+        if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
+            return False, "violation does not recheck"
+        return True, "ok"
+    choice = _field(cert, "choice")
+    if not isinstance(choice, dict):
+        raise ValidationError("choice: expected an object")
+    by_key = {str(nm): ids for nm, ids in family.items()}  # certificate keys are strings
+    if set(choice) != set(by_key):
+        return False, "choice does not name every member exactly once"
+    picked = []
+    for name, value in choice.items():
+        if _id_entry(value, f"choice[{name!r}]") not in by_key[name]:
+            return False, f"choice for {name!r} is not in the member set"
+        picked.append(value)
+    if len(set(picked)) != len(picked):
+        return False, "representatives are not pairwise distinct"
+    return True, "ok"
+
+
+def _verify_subsequence(parent: IntSeq, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+    direction = _field(cert, "direction")
+    if direction not in (INCREASING, DECREASING):
+        raise ValidationError(f"unknown direction {direction!r}")
+    values = _list(_field(cert, "values"), "values")
+    witness = SubseqWitness(direction, seq_from_list(values))
+    m, n = _int(_field(cert, "m"), "m"), _int(_field(cert, "n"), "n")
+    if len(parent) != m * n + 1:
+        return False, "instance does not have m*n+1 values"
+    promised = m + 1 if direction == INCREASING else n + 1
+    if len(witness.subsequence) != promised:
+        return False, "witness does not have the promised length"
+    if not verify_subseq(parent, witness):
+        return False, "witness is not a monotone subsequence of the instance"
+    return True, "ok"
+
+
+def _solve_matching(G: BipartiteGraph, args: Any) -> dict[str, Any]:
+    result = find_L_perfect_matching(G, subset_cap=args.subset_cap, oracle_cap=args.oracle_cap)
+    checked = len(G.left) + len(G.right) <= args.oracle_cap
+    return matching_certificate(result, minimality_checked=checked)
+
+
+def _solve_sdr(family: SetFamily, args: Any) -> dict[str, Any]:
+    result = find_sdr(family, subset_cap=args.subset_cap, oracle_cap=args.oracle_cap)
+    ground = set().union(*family.values()) if family else set()
+    checked = len(family) + len(ground) <= args.oracle_cap
+    return sdr_certificate(result, minimality_checked=checked)
+
+
+@dataclass(frozen=True)
+class CertificateKind:
+    """How one certificate kind is made and checked.
+
+    ``command`` is the CLI subcommand that writes it and ``instance`` the
+    instance kind both sides need.  ``solve(data, args)`` runs the solver on
+    the instance data with the parsed CLI arguments and encodes the result;
+    ``verify(data, cert, oracle_cap)`` re-checks a parsed certificate and
+    returns (valid, detail).  Rows call solvers and encoders by their
+    module-level names, so a patched name is seen at call time."""
+
+    command: str
+    instance: str
+    help: str
+    solve: Callable[[Any, Any], dict[str, Any]]
+    verify: Callable[[Any, dict[str, Any], int], tuple[bool, str]]
+
+
+# Keyed by certificate kind, in the order the CLI lists its subcommands.
+CERTIFICATE_KINDS: dict[str, CertificateKind] = {
+    "width": CertificateKind(
+        "width", POSET, "largest antichain of a poset instance",
+        lambda P, args: size_certificate("width", width(P, args.oracle_cap)),
+        lambda P, cert, cap: _verify_size(P, cert, cap, "width", is_antichain, oracle.max_antichain)),
+    "height": CertificateKind(
+        "height", POSET, "largest chain of a poset instance",
+        lambda P, args: size_certificate("height", height(P, args.oracle_cap)),
+        lambda P, cert, cap: _verify_size(P, cert, cap, "height", is_chain, oracle.max_chain)),
+    "chain-cover": CertificateKind(
+        "chain-cover", POSET, "chain cover of size equal to the width, with witness",
+        lambda P, args: chain_cover_certificate(perles_chain_cover(P, args.oracle_cap)),
+        _verify_chain_cover),
+    "antichain-cover": CertificateKind(
+        "antichain-cover", POSET, "antichain cover of size equal to the height, with witness",
+        lambda P, args: antichain_cover_certificate(mirsky_antichain_cover(P, args.oracle_cap)),
+        _verify_antichain_cover),
+    "dilworth-report": CertificateKind(
+        "check-dilworth", POSET, "report width vs. smallest-chain-cover size",
+        lambda P, args: report_certificate(check_dilworth(P, args.oracle_cap)),
+        lambda P, cert, cap: _verify_report(cert, report_certificate(check_dilworth(P, cap)))),
+    "mirsky-report": CertificateKind(
+        "check-mirsky", POSET, "report height vs. smallest-antichain-cover size",
+        lambda P, args: report_certificate(check_mirsky(P, args.oracle_cap)),
+        lambda P, cert, cap: _verify_report(cert, report_certificate(check_mirsky(P, cap)))),
+    "matching": CertificateKind(
+        "matching", BIGRAPH, "L-perfect matching of a bigraph instance, or a Hall violation",
+        _solve_matching, _verify_matching),
+    "sdr": CertificateKind(
+        "sdr", FAMILY, "distinct representatives of a family instance, or a violating subfamily",
+        _solve_sdr, _verify_sdr),
+    "subsequence": CertificateKind(
+        "es", SEQUENCE, "monotone subsequence of a sequence instance",
+        lambda s, args: subsequence_certificate(
+            es_subsequence(s, args.m, args.n, args.oracle_cap), args.m, args.n),
+        _verify_subsequence),
+}
+
+
+def instance_data(inst: Instance, row: CertificateKind, what: str) -> Any:
+    """``inst.data`` when ``inst`` has the kind ``row`` needs; ``what`` names
+    the asker in the error otherwise."""
+    if inst.kind != row.instance:
+        raise ValidationError(f"{what} needs a {row.instance!r} instance, got {inst.kind!r}")
     return inst.data
 
 
@@ -307,126 +499,7 @@ def verify_certificate(
     Size pairs (a witness plus a cover of equal cardinality) are conclusive by
     counting; bare width/height claims are re-derived through the oracle."""
     kind = _field(cert, "kind")
-
-    if kind in ("width", "height"):
-        P: FinitePoset = _require_kind(inst, POSET, kind)
-        witness = _id_set(_field(cert, "witness"), "witness")
-        size = _int(_field(cert, "size"), "size")
-        predicate = is_antichain if kind == "width" else is_chain
-        search = oracle.max_antichain if kind == "width" else oracle.max_chain
-        if not predicate(P, witness):
-            return False, f"witness is not a valid {kind} witness"
-        if len(witness) != size:
-            return False, "claimed size does not match the witness"
-        if search(P, oracle_cap).size != size:
-            return False, f"poset {kind} differs from the claimed size"
-        return True, "ok"
-
-    if kind == "chain-cover":
-        P = _require_kind(inst, POSET, kind)
-        w = _int(_field(cert, "width"), "width")
-        antichain = _id_set(_field(cert, "antichain"), "antichain")
-        cover = [_id_set(c, "cover") for c in _list(_field(cert, "cover"), "cover")]
-        if not is_antichain(P, antichain) or len(antichain) != w:
-            return False, "antichain witness invalid or of the wrong size"
-        if not verify_chain_cover(P, cover):
-            return False, "cover is not a chain cover"
-        if len(cover) != w:
-            return False, "cover size does not match the claimed width"
-        return True, "ok"
-
-    if kind == "antichain-cover":
-        P = _require_kind(inst, POSET, kind)
-        h = _int(_field(cert, "height"), "height")
-        chain = _id_set(_field(cert, "chain"), "chain")
-        layers = [_id_set(c, "layers") for c in _list(_field(cert, "layers"), "layers")]
-        if not is_chain(P, chain) or len(chain) != h:
-            return False, "chain witness invalid or of the wrong size"
-        if not verify_antichain_cover(P, layers):
-            return False, "layers are not an antichain cover"
-        if len(layers) != h:
-            return False, "layer count does not match the claimed height"
-        return True, "ok"
-
-    if kind == "dilworth-report":
-        P = _require_kind(inst, POSET, kind)
-        report = check_dilworth(P, oracle_cap)
-        expected = report_certificate(report)
-        for key in ("width", "cover_size", "equal"):
-            if cert.get(key) != expected[key] or type(cert.get(key)) is not type(expected[key]):
-                return False, f"report field {key!r} does not match a recomputation"
-        return True, "ok"
-
-    if kind == "mirsky-report":
-        P = _require_kind(inst, POSET, kind)
-        report = check_mirsky(P, oracle_cap)
-        expected = report_certificate(report)
-        for key in ("height", "cover_size", "equal"):
-            if cert.get(key) != expected[key] or type(cert.get(key)) is not type(expected[key]):
-                return False, f"report field {key!r} does not match a recomputation"
-        return True, "ok"
-
-    if kind == "matching":
-        G: BipartiteGraph = _require_kind(inst, BIGRAPH, kind)
-        if "violation" in cert:
-            v = cert["violation"]
-            names = _id_list(_field(v, "set"), "violation.set")
-            members = frozenset(names)
-            if len(members) != len(names) or not members <= G.left_set:
-                return False, "violating set is not a set of left vertices"
-            lack = len(members) - len(neighborhood(G, members))
-            if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
-                return False, "violation does not recheck"
-            return True, "ok"
-        pairs = [(p[0], p[1]) for p in _pair_list(_field(cert, "pairs"), "pairs")]
-        if not verify_matching(G, pairs, require_L_perfect=True):
-            return False, "pairs are not an L-perfect matching"
-        return True, "ok"
-
-    if kind == "sdr":
-        family: dict[ElementId, frozenset[ElementId]] = _require_kind(inst, FAMILY, kind)
-        if "violation" in cert:
-            v = cert["violation"]
-            members = _id_list(_field(v, "set"), "violation.set")
-            if len(set(members)) != len(members):
-                return False, "violating subfamily names a member twice"
-            if not set(members) <= set(family):
-                return False, "violating subfamily names unknown members"
-            union = frozenset().union(*(family[nm] for nm in members)) if members else frozenset()
-            lack = len(members) - len(union)
-            if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
-                return False, "violation does not recheck"
-            return True, "ok"
-        choice = _field(cert, "choice")
-        if not isinstance(choice, dict):
-            raise ValidationError("choice: expected an object")
-        by_key = {str(nm): ids for nm, ids in family.items()}  # certificate keys are strings
-        if set(choice) != set(by_key):
-            return False, "choice does not name every member exactly once"
-        picked = []
-        for name, value in choice.items():
-            if _id_entry(value, f"choice[{name!r}]") not in by_key[name]:
-                return False, f"choice for {name!r} is not in the member set"
-            picked.append(value)
-        if len(set(picked)) != len(picked):
-            return False, "representatives are not pairwise distinct"
-        return True, "ok"
-
-    if kind == "subsequence":
-        parent: IntSeq = _require_kind(inst, SEQUENCE, kind)
-        direction = _field(cert, "direction")
-        if direction not in (INCREASING, DECREASING):
-            raise ValidationError(f"unknown direction {direction!r}")
-        values = _list(_field(cert, "values"), "values")
-        witness = SubseqWitness(direction, seq_from_list(values))
-        m, n = _int(_field(cert, "m"), "m"), _int(_field(cert, "n"), "n")
-        if len(parent) != m * n + 1:
-            return False, "instance does not have m*n+1 values"
-        promised = m + 1 if direction == INCREASING else n + 1
-        if len(witness.subsequence) != promised:
-            return False, "witness does not have the promised length"
-        if not verify_subseq(parent, witness):
-            return False, "witness is not a monotone subsequence of the instance"
-        return True, "ok"
-
-    raise ValidationError(f"unknown certificate kind {kind!r}")
+    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
+        raise ValidationError(f"unknown certificate kind {kind!r}")
+    row = CERTIFICATE_KINDS[kind]
+    return row.verify(instance_data(inst, row, f"certificate kind {kind!r}"), cert, oracle_cap)

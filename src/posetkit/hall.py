@@ -93,17 +93,23 @@ def neighborhood(G: BipartiteGraph, S: AbstractSet[ElementId]) -> frozenset[Elem
     return frozenset(v for (u, v) in G.edges if u in S)
 
 
+def _neighbour_masks(G: BipartiteGraph) -> list[int]:
+    """Each left vertex's neighbours as a mask over right indices, in ``G.left`` order."""
+    index = {u: i for i, u in enumerate(G.left)}
+    rindex = {v: j for j, v in enumerate(G.right)}
+    nbr = [0] * len(G.left)
+    for (u, v) in G.edges:
+        nbr[index[u]] |= 1 << rindex[v]
+    return nbr
+
+
 def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
     """None when every left subset S has |N(S)| >= |S|; otherwise the
     smallest violating subset (lexicographically first among those)."""
     n = len(G.left)
     if n > cap:
         raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
-    index = {u: i for i, u in enumerate(G.left)}
-    nbr = [0] * n
-    rindex = {v: j for j, v in enumerate(G.right)}
-    for (u, v) in G.edges:
-        nbr[index[u]] |= 1 << rindex[v]
+    nbr = _neighbour_masks(G)
     for k in range(1, n + 1):
         for combo in combinations(range(n), k):
             seen = 0
@@ -148,11 +154,7 @@ def find_L_perfect_matching(
 
     Construction: chain-cover the graph poset (the cover size is |R|), make
     the cover disjoint, and read the two-element chains as matched pairs."""
-    rindex = {v: j for j, v in enumerate(G.right)}
-    nbr = dict.fromkeys(G.left, 0)
-    for (u, v) in G.edges:
-        nbr[u] |= 1 << rindex[v]
-    if len(G.left) > subset_cap or _matching_width(list(nbr.values())):
+    if len(G.left) > subset_cap or _matching_width(_neighbour_masks(G)):
         bad = hall_condition(G, subset_cap)  # above the cap: the --subset-cap error
         assert bad is not None
         return bad

@@ -179,6 +179,26 @@ def test_oversized_instance_names_the_flag_that_raises_the_cap(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
 
 
+def test_a_large_poset_leaves_stderr_empty(tmp_path):
+    inst = write(tmp_path, "anti70.json",
+                 {"kind": "poset", "elements": [f"e{i}" for i in range(70)], "edges": []})
+    env = dict(os.environ, PYTHONPATH=str(Path(posetkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "posetkit.cli", "--oracle-cap", "100",
+                           "antichain-cover", inst], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "") and json.loads(done.stdout)["height"] == 1
+
+
+def test_recursion_past_the_stack_limit_is_a_one_line_error(tmp_path, capsys):
+    n = 1000
+    inst = write(tmp_path, "chain.json", {
+        "kind": "poset", "elements": [f"e{i:04d}" for i in range(n)],
+        "edges": [[f"e{i:04d}", f"e{i + 1:04d}"] for i in range(n - 1)]})
+    assert run_command(["--oracle-cap", "5000", "chain-cover", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_a_bad_argv_leaves_the_next_run_as_a_fresh_process_would(tmp_path, capsys):
     inst = write(tmp_path, "p3.json", P3)
     env = dict(os.environ, PYTHONPATH=str(Path(posetkit.__file__).resolve().parents[1]))
@@ -220,6 +240,32 @@ def test_solver_output_round_trips_through_verify(tmp_path, capsys, command, pay
     code, out = run(tmp_path, capsys, "verify", inst, str(cert_path))
     assert code == 0
     assert out == {"kind": "verification", "valid": True, "detail": "ok"}
+
+
+BY_INSTANCE_KIND = {"poset": P3, "bigraph": K22, "family": FAMILY, "sequence": SEQ}
+
+
+@pytest.mark.parametrize("kind", list(formats.CERTIFICATE_KINDS))
+def test_a_wrong_instance_kind_exits_2(tmp_path, capsys, kind):
+    row = formats.CERTIFICATE_KINDS[kind]
+    extras = [extra for command, _payload, extra in ALL_SOLVES if command == row.command]
+    assert extras, f"{row.command!r} has no round trip in ALL_SOLVES"
+    extra = extras[0]
+    right = write(tmp_path, "right.json", BY_INSTANCE_KIND[row.instance])
+    run_command([row.command, right, *extra])
+    cert_text = capsys.readouterr().out
+    assert json.loads(cert_text)["kind"] == kind
+    cert = tmp_path / "cert.json"
+    cert.write_text(cert_text)
+    for instance_kind, payload in BY_INSTANCE_KIND.items():
+        if instance_kind == row.instance:
+            continue
+        wrong = write(tmp_path, "wrong.json", payload)
+        for argv in ([row.command, wrong, *extra], ["verify", wrong, str(cert)]):
+            assert run_command(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_rejects_tampered_cover(tmp_path, capsys):

@@ -69,11 +69,6 @@ def test_build_transitive_closure():
     assert P.lt("a", "c") and not P.lt("a", "a")
 
 
-def test_build_size_warning():
-    with pytest.warns(UserWarning):
-        build_poset(range(5), (), size_warning=4)
-
-
 def test_is_chain(p3):
     assert is_chain(p3, {"a", "b"})
     assert not is_chain(p3, {"a", "c"})
