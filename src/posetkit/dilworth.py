@@ -3,8 +3,9 @@
 ``perles_chain_cover`` transcribes Perles' two-case recursion: either some
 maximum antichain differs from both extremal antichains and the poset splits
 into the parts above and below it, or no such antichain exists and a single
-minimal-to-maximal two-element chain comes off.  Every recursive call is on a
-strictly smaller carrier, so the recursion is well founded.
+minimal-to-maximal two-element chain comes off.  Every split and every peel
+leaves a strictly smaller carrier, so the recursion is well founded; the
+peels of one frame run as a loop.
 
 The width m comes once from Fulkerson's reduction (a maximum matching M on
 x⁻ → y⁺ for x < y leaves n − |M| chains) and is carried down: a case-1 half
@@ -18,6 +19,23 @@ makes S an antichain, equal to both extremal ones.  At |S| = m + 1 a size-m
 antichain S − {v} leaves v in every comparable pair, never strictly between
 two elements (their pair would miss v), so S − {v} is the minimal or the
 maximal elements; so are S − {a} and S − {b} for a single pair a < b.
+
+A case-1 half reuses its parent's search.  The half H lies inside the parent
+and holds the chosen antichain, so its size-m antichains are exactly the
+parent's that lie in H, and the search meets them in the same lexicographic
+order.  The parent's first three, those in H kept, are thus a prefix of H's
+own search: its first non-extremal entry is the one H would choose, and if
+the parent's search found fewer than three, the prefix holds all of H's.  H
+searches only when the prefix has no non-extremal entry and was cut short.
+A peel lowers the width, so the prefix is dropped.
+
+A size-m antichain c of a width-m carrier S is S's minimal elements exactly
+when no element of S lies below c, that is, OR(down[i] for i in c) & S == 0.
+If none does, each element of c is minimal, so c lies in the minimal
+elements, an antichain of at most m elements, and equals it; the converse is
+plain.  The maximal case is the same with ``up``.  Those masks are the ones
+case 1 splits by, so a candidate costs O(m), not a scan of S, and case 2's
+x and y come from scans that stop at the first hit.
 
 A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
 by id, so ascending bit order is id order: the lexicographically first witness
@@ -79,7 +97,7 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     comp = [u | d for u, d in zip(up, down)]
     full = (1 << len(P)) - 1
     found = oracle._antichain_masks(comp, full, m, 3)
-    cover = _perles(up, down, comp, full, m, found)
+    cover = _perles(up, down, comp, full, m, found, len(found) < 3)
     assert len(cover) == m
 
     def ids(mask: int) -> frozenset[ElementId]:
@@ -121,64 +139,81 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
-            found: list[int] | None = None) -> list[int]:
-    """m chain masks covering the carrier mask S, of width m.  ``found`` holds
-    the first size-m antichains of S when the caller already searched."""
-    min_set = max_set = 0
-    for bit in _bits(S):
-        i = bit.bit_length() - 1
-        if not down[i] & S:
-            min_set |= bit
-        if not up[i] & S:
-            max_set |= bit
-    if found is None:
-        # At most two size-m antichains are extremal, so a third is not.  On
-        # |S| <= m + 1 all of them are (see the module docstring).
-        found = [] if S.bit_count() <= m + 1 else oracle._antichain_masks(comp, S, m, 3)
-    chosen = next((c for c in found if c != max_set and c != min_set), None)
-
-    if chosen is not None:
-        # Case 1: split by the antichain into the part above it and the part
-        # below it; the antichain itself lies in both.
+def _split(up: list[int], down: list[int], S: int, found: list[int]) -> tuple[int, int, int] | None:
+    """The first antichain of ``found`` that lies in S and is neither S's
+    minimal nor its maximal elements, with the parts of S above and below it
+    (the antichain itself lies in both); None when there is none."""
+    for chosen in found:
+        if chosen & ~S:
+            continue
         above = below = chosen
         for bit in _bits(chosen):
             above |= up[bit.bit_length() - 1]
             below |= down[bit.bit_length() - 1]
         above &= S
         below &= S
-        assert above | below == S
-        assert above != S and below != S
-        upper = _perles(up, down, comp, above, m)
-        lower = _perles(up, down, comp, below, m)
-        assert len(upper) == m and len(lower) == m
+        # Nothing of S above (below) it: the maximal (minimal) elements.
+        if above != chosen and below != chosen:
+            return chosen, above, below
+    return None
 
-        def keyed(chains: list[int], at_bottom: bool) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for chain in chains:
-                a = chain & chosen
-                assert a.bit_count() == 1, "each chain meets the antichain exactly once"
-                i = a.bit_length() - 1
-                assert not chain & ~(a | (up[i] if at_bottom else down[i]))
-                out[a] = chain
-            return out
 
-        upper_by = keyed(upper, at_bottom=True)
-        lower_by = keyed(lower, at_bottom=False)
-        assert len(upper_by) == len(lower_by) == m
-        return [upper_by[a] | lower_by[a] for a in _bits(chosen)]
+def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
+            found: list[int], complete: bool) -> list[int]:
+    """m chain masks covering the carrier mask S, of width m.  ``found`` is a
+    prefix, in search order, of the size-m antichains of a width-m carrier
+    that contains S; ``complete`` says it holds all of them."""
+    peeled: list[int] = []
+    while True:
+        split = _split(up, down, S, found)
+        if split is None and not complete and S.bit_count() > m + 1:
+            # At most two size-m antichains are extremal, so a third is not.
+            # On |S| <= m + 1 all of them are (see the module docstring).
+            found = oracle._antichain_masks(comp, S, m, 3)
+            complete = len(found) < 3
+            split = _split(up, down, S, found)
+        if split is not None:
+            break
+        # Case 2: every maximum antichain is an extremal one.  Peel one chain
+        # from the lowest minimal element x to the lowest maximal y >= x; the
+        # rest has width m - 1, so the prefix no longer applies.
+        rest = S
+        while down[(x := rest & -rest).bit_length() - 1] & S:
+            rest ^= x
+        rest = (up[x.bit_length() - 1] | x) & S
+        while up[(y := rest & -rest).bit_length() - 1] & S:
+            rest ^= y
+        peeled.append(x | y)
+        S &= ~(x | y)
+        m -= 1
+        if not S:
+            assert m == 0, "each peel lowers the width by one"
+            return peeled
+        found, complete = [], False
 
-    # Case 2: every maximum antichain is an extremal one.  Peel one chain from
-    # a minimal element to a maximal element above it.
-    x = min_set & -min_set
-    y = max_set & (up[x.bit_length() - 1] | x)
-    y &= -y
-    rest = S & ~(x | y)
-    if not rest:
-        return [x | y]
-    sub = _perles(up, down, comp, rest, m - 1)
-    assert len(sub) == m - 1
-    return sub + [x | y]
+    # Case 1: split by the antichain into the part above it and the part below
+    # it; both halves hold it, so they have width m and its antichains.
+    chosen, above, below = split
+    assert above | below == S
+    assert above != S and below != S
+    upper = _perles(up, down, comp, above, m, found, complete)
+    lower = _perles(up, down, comp, below, m, found, complete)
+    assert len(upper) == m and len(lower) == m
+
+    def keyed(chains: list[int], at_bottom: bool) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for chain in chains:
+            a = chain & chosen
+            assert a.bit_count() == 1, "each chain meets the antichain exactly once"
+            i = a.bit_length() - 1
+            assert not chain & ~(a | (up[i] if at_bottom else down[i]))
+            out[a] = chain
+        return out
+
+    upper_by = keyed(upper, at_bottom=True)
+    lower_by = keyed(lower, at_bottom=False)
+    assert len(upper_by) == len(lower_by) == m
+    return [upper_by[a] | lower_by[a] for a in _bits(chosen)] + peeled
 
 
 def disjointify_cover(

@@ -232,10 +232,39 @@ def test_small_carriers_have_only_extremal_maximum_antichains(posets_upto_4, pos
     assert carriers == 103_909
 
 
+def test_extremal_antichains_are_told_by_their_down_and_up_masks(posets_upto_4, posets_n5):
+    """A size-width(S) antichain c of a carrier S is S's minimal elements
+    exactly when nothing of S lies below c, and its maximal elements exactly
+    when nothing of S lies above it; ``_split`` rejects just those two."""
+    antichains = 0
+    for P in posets_upto_4 + posets_n5:
+        up, down = _order_masks(P)
+        comp = [u | d for u, d in zip(up, down)]
+        for S in range(1, 1 << len(P)):
+            k = S.bit_count()
+            while not (found := oracle._antichain_masks(comp, S, k, None)):
+                k -= 1
+            bits = [i for i in range(len(P)) if S >> i & 1]
+            min_set = sum(1 << i for i in bits if not down[i] & S)
+            max_set = sum(1 << i for i in bits if not up[i] & S)
+            for c in found:
+                antichains += 1
+                below = above = 0
+                for i in range(len(P)):
+                    if c >> i & 1:
+                        below |= down[i]
+                        above |= up[i]
+                assert (not below & S) == (c == min_set), (P, bin(S), bin(c))
+                assert (not above & S) == (c == max_set), (P, bin(S), bin(c))
+                assert (dilworth._split(up, down, S, [c]) is None) == (c in (min_set, max_set))
+    assert antichains == 226_915
+
+
 def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
     """Below the top frame, a carrier with |S| <= m + 1 never reaches the
-    antichain search, and such frames do occur."""
+    antichain search, and such carriers do occur."""
     slack: list[int] = []
+    frames: list[bool] = []
     small = 0
     search, perles = oracle._antichain_masks, dilworth._perles
 
@@ -243,18 +272,43 @@ def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
         slack.append(S.bit_count() - k)
         return search(comp, S, k, limit)
 
-    def counting_perles(up, down, comp, S, m, found=None):
-        nonlocal small
-        small += found is None and S.bit_count() <= m + 1
-        return perles(up, down, comp, S, m, found)
+    def counting_perles(up, down, comp, S, m, found, complete):
+        frames.append(S.bit_count() <= m + 1)
+        return perles(up, down, comp, S, m, found, complete)
 
     monkeypatch.setattr(oracle, "_antichain_masks", counting_search)
     monkeypatch.setattr(dilworth, "_perles", counting_perles)
     for P in seeded_posets:
         slack.clear()
+        frames.clear()
         perles_chain_cover(P)
         assert all(s > 1 for s in slack[1:]), P  # slack[0] is the top frame's witness search
+        small += sum(frames[1:])  # frames[0] is the top frame
     assert small > 0
+
+
+@pytest.mark.parametrize("n, searches", [(4, 1), (30, 14)])
+def test_case1_halves_reuse_their_parents_search(monkeypatch, n, searches):
+    """A case-1 half has its parent's width and the parent's antichains that
+    lie in it, so on a chain it searches only when the parent's first three
+    are used up: every second split instead of every split."""
+    calls = 0
+    search = oracle._antichain_masks
+
+    def counting_search(comp, S, k, limit):
+        nonlocal calls
+        calls += 1
+        return search(comp, S, k, limit)
+
+    names = [f"c{i:02d}" for i in range(n)]
+    P = build_poset(names, list(zip(names, names[1:])))
+    monkeypatch.setattr(oracle, "_antichain_masks", counting_search)
+    cert = perles_chain_cover(P, cap=n)
+    assert calls == searches
+    monkeypatch.undo()
+    top = max_antichain(P, cap=n)
+    assert (cert.width, cert.antichain_witness) == (top.size, top.witness)
+    assert cert.cover == (frozenset(names),)
 
 
 # --- byte identity of the certificates ------------------------------------------
@@ -298,3 +352,19 @@ def test_chain_cover_certificates_are_byte_identical():
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert len(corpus) == 314
     assert digest.hexdigest() == CERTIFICATES_SHA256
+
+
+# sha256 of the chain-cover certificates of the sparse corpus below, written
+# before case-1 halves reused their parent's search; that reuse fires most on
+# sparse posets, which the corpus above holds only ten of.
+SPARSE_CERTIFICATES_SHA256 = "e66a162f9a99ee2f75823fc10ea1756eee6cfd686f11cd3ae30918679d372b81"
+
+
+def test_sparse_chain_cover_certificates_are_byte_identical():
+    rng = random.Random(6)
+    corpus = [_sparse_poset(rng, rng.randint(28, 44), rng.choice((0.05, 0.1))) for _ in range(60)]
+    digest = hashlib.sha256()
+    for P in corpus:
+        cert = perles_chain_cover(P, 48)
+        digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
+    assert digest.hexdigest() == SPARSE_CERTIFICATES_SHA256
