@@ -20,6 +20,16 @@ antichain S − {v} leaves v in every comparable pair, never strictly between
 two elements (their pair would miss v), so S − {v} is the minimal or the
 maximal elements; so are S − {a} and S − {b} for a single pair a < b.
 
+Such a frame also finishes in one pass.  At |S| = m it peels singletons.  At
+|S| = m + 1 its comparable pairs pairwise meet (two disjoint pairs, or a
+three-element chain, would leave a cover of m − 1 chains) and some pair
+exists (S is no antichain), so they form a star with no three-element chain:
+an element with something above it is minimal and one above it is maximal.
+Let x be the lowest element with something above it.  The peels take the
+minimal elements of lower index than x, all isolated, as singletons, then x
+with the lowest y > x, and then, the rest being an antichain of the
+remaining width, singletons: {x, y} and singletons.
+
 A case-1 half reuses its parent's search.  The half H lies inside the parent
 and holds the chosen antichain, so its size-m antichains are exactly the
 parent's that lie in H, and the search meets them in the same lexicographic
@@ -33,9 +43,27 @@ A size-m antichain c of a width-m carrier S is S's minimal elements exactly
 when no element of S lies below c, that is, OR(down[i] for i in c) & S == 0.
 If none does, each element of c is minimal, so c lies in the minimal
 elements, an antichain of at most m elements, and equals it; the converse is
-plain.  The maximal case is the same with ``up``.  Those masks are the ones
-case 1 splits by, so a candidate costs O(m), not a scan of S, and case 2's
-x and y come from scans that stop at the first hit.
+plain.  The maximal case is the same with ``up``.  Each antichain found
+carries those two ORs, so a candidate costs O(1) big-integer operations, not
+a scan of S, and case 2's x and y come from scans that stop at the first hit.
+
+The search is pruned by the chains Fulkerson's matching already gives: each
+matched x → y links x to the next element of its chain, so the matching of
+size n − m lays P out as m disjoint chains.  An antichain meets a chain at
+most once, so a branch that has ``size`` elements and candidates ``rest``
+can reach k only if rest meets at least k − size of the chains.  Restricted
+to any carrier the chains still cover it, so the bound is sound in every
+frame, also after a peel, when more chains than its width may meet S.  The
+chains are laid out once per call as fields of a second bit space, one
+element bit each and a guard bit above each field; with rest' the image of
+rest there, LOW the element bits and HIGH the guard bits, (rest' + LOW) &
+HIGH has one bit per field that rest' meets.  The pruned search visits the exhaustive search's nodes in the same
+order and skips only subtrees without a solution, so it yields the same
+antichains in the same order and the certificates do not change.  Below a
+matching of PRUNE_MIN_MATCHED pairs, laying the chains out costs more than
+it saves, and the exhaustive ``oracle._antichain_masks`` runs instead; |M|
+never grows down the recursion (halves keep m, a peel removes two elements
+and lowers m by one), so the choice is made once per call.
 
 A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
 by id, so ascending bit order is id order: the lexicographically first witness
@@ -62,6 +90,10 @@ from .core import (
 )
 from .errors import NotASmallestCover
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
+
+
+# Below this many matched pairs the chain-space prune costs more than it saves.
+PRUNE_MIN_MATCHED = 10
 
 
 @dataclass(frozen=True)
@@ -93,28 +125,42 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
     up, down = _order_masks(P)
-    m = _matching_width(up)
+    matching = _max_matching(up)
+    m = len(P) - len(matching)
     comp = [u | d for u, d in zip(up, down)]
+    space = None
+    if len(matching) >= PRUNE_MIN_MATCHED:
+        space = _chain_space(_chains(matching, len(P)), comp)
+    order = (up, down, comp, space)
     full = (1 << len(P)) - 1
-    found = oracle._antichain_masks(comp, full, m, 3)
-    cover = _perles(up, down, comp, full, m, found, len(found) < 3)
+    found = _antichains(order, full, m)
+    cover = _perles(order, full, m, found, len(found) < 3)
     assert len(cover) == m
 
     def ids(mask: int) -> frozenset[ElementId]:
         return frozenset(e for i, e in enumerate(P.elements) if mask >> i & 1)
 
-    return DilworthCertificate(m, ids(found[0]), canonical_cover(map(ids, cover)))
+    return DilworthCertificate(m, ids(found[0][0]), canonical_cover(map(ids, cover)))
 
 
-def _matching_width(up: list[int]) -> int:
-    """len(up) − |M| for a maximum matching M of each x to bits y of ``up[x]``,
-    by Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺)."""
+# A chain cover laid out as bit fields: each element index's one bit in its
+# chain's field, the comparability masks mapped, every element bit (LOW) and
+# the guard bit above each field (HIGH).
+_ChainSpace = tuple[list[int], list[int], int, int]
+# Perles' per-call masks: the strict up and down masks, their union, and the
+# chain space of the matching's chains (None below PRUNE_MIN_MATCHED pairs).
+_Order = tuple[list[int], list[int], list[int], "_ChainSpace | None"]
+
+
+def _max_matching(adj: list[int]) -> dict[int, int]:
+    """A maximum matching of each x to a bit y of ``adj[x]``, as y -> x, by
+    Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺)."""
     owner: dict[int, int] = {}  # y -> the x matched to it
     seen = 0
 
     def augment(x: int) -> bool:
         nonlocal seen
-        while free := up[x] & ~seen:
+        while free := adj[x] & ~seen:
             bit = free & -free
             seen |= bit
             y = bit.bit_length() - 1
@@ -123,11 +169,84 @@ def _matching_width(up: list[int]) -> int:
                 return True
         return False
 
-    matched = 0
-    for x in range(len(up)):
+    for x in range(len(adj)):
         seen = 0
-        matched += augment(x)
-    return len(up) - matched
+        augment(x)
+    return owner
+
+
+def _chains(matching: dict[int, int], n: int) -> list[list[int]]:
+    """The n − |M| chains of a matching on strict up-masks, as index lists
+    from the top down: x matched to y sits below y in y's chain."""
+    out = []
+    for top in sorted(set(range(n)) - set(matching.values())):
+        chain = [top]
+        while chain[-1] in matching:
+            chain.append(matching[chain[-1]])
+        out.append(chain)
+    return out
+
+
+def _chain_space(chains: list[list[int]], comp: list[int]) -> _ChainSpace:
+    """The chains laid out as consecutive fields, each its chain's length
+    plus one guard bit wide."""
+    place = [0] * len(comp)
+    at = high = 0
+    for chain in chains:
+        for i in chain:
+            place[i] = 1 << at
+            at += 1
+        high |= 1 << at
+        at += 1
+    return place, [_union(place, c) for c in comp], (1 << at) - 1 - high, high
+
+
+def _union(masks: list[int], mask: int) -> int:
+    """The OR of ``masks[i]`` over the set bits i of ``mask``; over ``place``,
+    the mask mapped into the chain space."""
+    out = 0
+    while mask:
+        out |= masks[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
+
+
+def _pruned_antichain_masks(comp: list[int], space: _ChainSpace, cand: int, k: int,
+                            limit: int | None) -> list[int]:
+    """``oracle._antichain_masks(comp, cand, k, limit)``, skipping each branch
+    whose candidates meet fewer than k − size of the chains of ``space``."""
+    found: list[int] = []
+    place, pcomp, low, high = space
+
+    def search(chosen: int, size: int, rest: int, restp: int) -> bool:
+        if size == k:
+            found.append(chosen)
+            return len(found) == limit
+        need = k - size
+        # rest shrinks, so once the bound fails it fails for every later turn
+        while ((restp + low) & high).bit_count() >= need:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            restp ^= place[i]
+            if search(chosen | bit, size + 1, rest & ~comp[i], restp & ~pcomp[i]):
+                return True
+        return False
+
+    if k > 0:
+        search(0, 0, cand, _union(place, cand))
+    return found
+
+
+def _antichains(order: _Order, S: int, k: int) -> list[tuple[int, int, int]]:
+    """The first three size-k antichains inside S, in the exhaustive search's
+    order, each with the OR of its elements' up masks and of their down masks."""
+    up, down, comp, space = order
+    if space is None:
+        found = oracle._antichain_masks(comp, S, k, 3)
+    else:
+        found = _pruned_antichain_masks(comp, space, S, k, 3)
+    return [(c, _union(up, c), _union(down, c)) for c in found]
 
 
 def _bits(mask: int) -> list[int]:
@@ -139,44 +258,52 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _split(up: list[int], down: list[int], S: int, found: list[int]) -> tuple[int, int, int] | None:
+def _split(S: int, found: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
     """The first antichain of ``found`` that lies in S and is neither S's
     minimal nor its maximal elements, with the parts of S above and below it
     (the antichain itself lies in both); None when there is none."""
-    for chosen in found:
-        if chosen & ~S:
-            continue
-        above = below = chosen
-        for bit in _bits(chosen):
-            above |= up[bit.bit_length() - 1]
-            below |= down[bit.bit_length() - 1]
-        above &= S
-        below &= S
+    for chosen, ups, downs in found:
         # Nothing of S above (below) it: the maximal (minimal) elements.
-        if above != chosen and below != chosen:
-            return chosen, above, below
+        if not chosen & ~S and ups & S and downs & S:
+            return chosen, ups & S | chosen, downs & S | chosen
     return None
 
 
-def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
-            found: list[int], complete: bool) -> list[int]:
+def _short_frame(up: list[int], S: int, m: int) -> list[int]:
+    """The chains Perles' peels leave of a carrier S of width m with
+    |S| <= m + 1, in one pass (see the module docstring)."""
+    if S.bit_count() == m:
+        return _bits(S)
+    rest = S  # x: the lowest element with something above it
+    while not up[(x := (rest & -rest).bit_length() - 1)] & S:
+        rest &= rest - 1
+    pair = 1 << x | (y := up[x] & S) & -y
+    return [pair] + _bits(S & ~pair)
+
+
+def _perles(order: _Order, S: int, m: int, found: list[tuple[int, int, int]],
+            complete: bool) -> list[int]:
     """m chain masks covering the carrier mask S, of width m.  ``found`` is a
     prefix, in search order, of the size-m antichains of a width-m carrier
     that contains S; ``complete`` says it holds all of them."""
+    up, down, _, _ = order
     peeled: list[int] = []
     while True:
-        split = _split(up, down, S, found)
-        if split is None and not complete and S.bit_count() > m + 1:
+        split = _split(S, found)
+        if split is None and S.bit_count() <= m + 1:
+            # Every maximum antichain is extremal (see the module docstring).
+            return _short_frame(up, S, m) + peeled
+        if split is None and not complete:
             # At most two size-m antichains are extremal, so a third is not.
-            # On |S| <= m + 1 all of them are (see the module docstring).
-            found = oracle._antichain_masks(comp, S, m, 3)
+            found = _antichains(order, S, m)
             complete = len(found) < 3
-            split = _split(up, down, S, found)
+            split = _split(S, found)
         if split is not None:
             break
         # Case 2: every maximum antichain is an extremal one.  Peel one chain
         # from the lowest minimal element x to the lowest maximal y >= x; the
-        # rest has width m - 1, so the prefix no longer applies.
+        # rest has width m - 1, so the prefix no longer applies.  It keeps at
+        # least m elements, as |S| >= m + 2 here, so it is not empty.
         rest = S
         while down[(x := rest & -rest).bit_length() - 1] & S:
             rest ^= x
@@ -186,9 +313,6 @@ def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
         peeled.append(x | y)
         S &= ~(x | y)
         m -= 1
-        if not S:
-            assert m == 0, "each peel lowers the width by one"
-            return peeled
         found, complete = [], False
 
     # Case 1: split by the antichain into the part above it and the part below
@@ -196,8 +320,8 @@ def _perles(up: list[int], down: list[int], comp: list[int], S: int, m: int,
     chosen, above, below = split
     assert above | below == S
     assert above != S and below != S
-    upper = _perles(up, down, comp, above, m, found, complete)
-    lower = _perles(up, down, comp, below, m, found, complete)
+    upper = _perles(order, above, m, found, complete)
+    lower = _perles(order, below, m, found, complete)
     assert len(upper) == m and len(lower) == m
 
     def keyed(chains: list[int], at_bottom: bool) -> dict[int, int]:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
 from .core import ElementId, FinitePoset, build_poset, id_key, is_antichain, sorted_ids, verify_chain_cover
-from .dilworth import _matching_width, disjointify_cover, perles_chain_cover
+from .dilworth import _max_matching, disjointify_cover, perles_chain_cover
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP
 
@@ -154,7 +154,7 @@ def find_L_perfect_matching(
 
     Construction: chain-cover the graph poset (the cover size is |R|), make
     the cover disjoint, and read the two-element chains as matched pairs."""
-    if len(G.left) > subset_cap or _matching_width(_neighbour_masks(G)):
+    if len(G.left) > subset_cap or len(_max_matching(_neighbour_masks(G))) < len(G.left):
         bad = hall_condition(G, subset_cap)  # above the cap: the --subset-cap error
         assert bad is not None
         return bad

@@ -25,7 +25,7 @@ from posetkit import (
     width,
 )
 from posetkit.core import _order_masks
-from posetkit.dilworth import _matching_width
+from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
 from conftest import random_poset
@@ -179,8 +179,15 @@ def seeded_posets(posets_upto_4, posets_n5):
 
 
 def test_matching_width_equals_oracle_width(seeded_posets):
+    """Kuhn's matching on the strict up-masks leaves n - |M| chains: a chain
+    cover whose size is the width."""
     for P in seeded_posets:
-        assert _matching_width(_order_masks(P)[0]) == max_antichain(P).size
+        matching = _max_matching(_order_masks(P)[0])
+        chains = _chains(matching, len(P))
+        assert len(P) - len(matching) == len(chains) == max_antichain(P).size
+        cover = [frozenset(P.elements[i] for i in chain) for chain in chains]
+        assert sorted(i for chain in chains for i in chain) == list(range(len(P)))
+        assert verify_chain_cover(P, cover)
 
 
 def test_perles_witness_is_the_oracle_witness(seeded_posets):
@@ -190,7 +197,7 @@ def test_perles_witness_is_the_oracle_witness(seeded_posets):
         assert (cert.width, cert.antichain_witness) == (top.size, top.witness)
 
 
-@pytest.mark.parametrize("n", [30, 45, 60])
+@pytest.mark.parametrize("n", [30, 45, 60, 100, 150])
 def test_perles_width_above_cap_matches_networkx(n):
     nx = pytest.importorskip("networkx")
     rng = random.Random(n)
@@ -256,8 +263,77 @@ def test_extremal_antichains_are_told_by_their_down_and_up_masks(posets_upto_4, 
                         above |= up[i]
                 assert (not below & S) == (c == min_set), (P, bin(S), bin(c))
                 assert (not above & S) == (c == max_set), (P, bin(S), bin(c))
-                assert (dilworth._split(up, down, S, [c]) is None) == (c in (min_set, max_set))
+                assert (dilworth._split(S, [(c, above, below)]) is None) == (c in (min_set, max_set))
     assert antichains == 226_915
+
+
+def _reference_peels(up, down, S):
+    """Perles' case-2 peels one at a time: the lowest minimal x with the
+    lowest maximal y >= x, until S is empty."""
+    chains = []
+    while S:
+        x = min(i for i in range(len(up)) if S >> i & 1 and not down[i] & S)
+        y = min(i for i in range(len(up)) if ((up[x] | 1 << x) & S) >> i & 1 and not up[i] & S)
+        chains.append(1 << x | 1 << y)
+        S &= ~(1 << x | 1 << y)
+    return chains
+
+
+def test_short_frames_finish_in_one_pass(posets_upto_4, posets_n5):
+    """A carrier of width m with |S| <= m + 1 leaves, in one pass, the chains
+    its peels would leave one at a time."""
+    carriers = 0
+    for P in posets_upto_4 + posets_n5:
+        up, down = _order_masks(P)
+        comp = [u | d for u, d in zip(up, down)]
+        for S in range(1, 1 << len(P)):
+            size = S.bit_count()
+            for m in (size, size - 1):
+                if oracle._antichain_masks(comp, S, m, 1):
+                    break
+            else:
+                continue
+            carriers += 1
+            chains = dilworth._short_frame(up, S, m)
+            assert len(chains) == m
+            assert sorted(chains) == sorted(_reference_peels(up, down, S)), (P, bin(S))
+    assert carriers == 103_909
+
+
+def _check_pruned_search(P, carriers):
+    """The pruned search over the chains of P's matching returns the
+    exhaustive search's list on each carrier, at k = width(carrier); returns
+    how many carriers meet more chains than k."""
+    up, down = _order_masks(P)
+    comp = [u | d for u, d in zip(up, down)]
+    chains = _chains(_max_matching(up), len(P))
+    space = dilworth._chain_space(chains, comp)
+    wider = 0
+    for S in carriers:
+        k = S.bit_count()
+        while not oracle._antichain_masks(comp, S, k, 1):
+            k -= 1
+        wider += sum(any(S >> i & 1 for i in chain) for chain in chains) > k
+        for limit in (3, None):
+            assert (dilworth._pruned_antichain_masks(comp, space, S, k, limit)
+                    == oracle._antichain_masks(comp, S, k, limit)), (P, bin(S), limit)
+    return wider
+
+
+def test_pruned_search_returns_the_exhaustive_list(posets_upto_4, posets_n5):
+    wider = 0
+    for P in posets_upto_4 + posets_n5:
+        wider += _check_pruned_search(P, range(1, 1 << len(P)))
+    assert wider > 0  # carriers as after a peel: more chains than the width
+
+
+def test_pruned_search_returns_the_exhaustive_list_on_random_posets(seeded_posets):
+    rng = random.Random(4)
+    wider = 0
+    for P in seeded_posets[-1000:]:
+        full = (1 << len(P)) - 1
+        wider += _check_pruned_search(P, [full] + [rng.randint(1, full) for _ in range(3)])
+    assert wider > 0
 
 
 def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
@@ -266,17 +342,17 @@ def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
     slack: list[int] = []
     frames: list[bool] = []
     small = 0
-    search, perles = oracle._antichain_masks, dilworth._perles
+    search, perles = dilworth._antichains, dilworth._perles
 
-    def counting_search(comp, S, k, limit):
+    def counting_search(order, S, k):
         slack.append(S.bit_count() - k)
-        return search(comp, S, k, limit)
+        return search(order, S, k)
 
-    def counting_perles(up, down, comp, S, m, found, complete):
+    def counting_perles(order, S, m, found, complete):
         frames.append(S.bit_count() <= m + 1)
-        return perles(up, down, comp, S, m, found, complete)
+        return perles(order, S, m, found, complete)
 
-    monkeypatch.setattr(oracle, "_antichain_masks", counting_search)
+    monkeypatch.setattr(dilworth, "_antichains", counting_search)
     monkeypatch.setattr(dilworth, "_perles", counting_perles)
     for P in seeded_posets:
         slack.clear()
@@ -293,16 +369,16 @@ def test_case1_halves_reuse_their_parents_search(monkeypatch, n, searches):
     lie in it, so on a chain it searches only when the parent's first three
     are used up: every second split instead of every split."""
     calls = 0
-    search = oracle._antichain_masks
+    search = dilworth._antichains
 
-    def counting_search(comp, S, k, limit):
+    def counting_search(order, S, k):
         nonlocal calls
         calls += 1
-        return search(comp, S, k, limit)
+        return search(order, S, k)
 
     names = [f"c{i:02d}" for i in range(n)]
     P = build_poset(names, list(zip(names, names[1:])))
-    monkeypatch.setattr(oracle, "_antichain_masks", counting_search)
+    monkeypatch.setattr(dilworth, "_antichains", counting_search)
     cert = perles_chain_cover(P, cap=n)
     assert calls == searches
     monkeypatch.undo()
@@ -368,3 +444,19 @@ def test_sparse_chain_cover_certificates_are_byte_identical():
         cert = perles_chain_cover(P, 48)
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert digest.hexdigest() == SPARSE_CERTIFICATES_SHA256
+
+
+# sha256 of the chain-cover certificates of the sparse corpus below, written
+# before the antichain search was pruned by the matching's chains; the prune
+# fires on every one of them.
+LARGE_SPARSE_CERTIFICATES_SHA256 = "6a0b8796338c12c73c95f9f86f4e08696a77050be4df8bc10abe813e73df7387"
+
+
+def test_large_sparse_chain_cover_certificates_are_byte_identical():
+    rng = random.Random(9)
+    corpus = [_sparse_poset(rng, rng.randint(50, 80), rng.choice((0.05, 0.1))) for _ in range(12)]
+    digest = hashlib.sha256()
+    for P in corpus:
+        cert = perles_chain_cover(P, 96)
+        digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
+    assert digest.hexdigest() == LARGE_SPARSE_CERTIFICATES_SHA256
