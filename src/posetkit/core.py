@@ -2,15 +2,16 @@
 and the structural primitives (minimal/maximal sets, restriction) that the
 constructive decomposition algorithms consume.
 
-The order relation is materialized in full (reflexive-transitive closure of
-the input edges), so ``le`` queries are O(1) set lookups and every operation
-downstream can stay purely combinatorial.
+A poset holds its strict order as bitmasks over the id-sorted carrier, one
+``up`` and one ``down`` mask per element, closed once by
+:func:`build_poset`.  Every query is a bit test or a few big-integer
+operations; the pair set ``relation`` is a view derived on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import (
     CycleDetected,
@@ -57,31 +58,43 @@ def canonical_cover(members: Iterable[AbstractSet[ElementId]]) -> ChainCover:
 class FinitePoset:
     """An immutable finite partial order.
 
-    ``elements`` is the carrier sorted by id; ``relation`` holds every pair
-    (x, y) with x <= y, reflexive pairs included.  Instances are built through
+    ``elements`` is the carrier sorted by id; bit j of ``up[i]`` and bit i of
+    ``down[j]`` mark elements[i] < elements[j].  Instances are built through
     :func:`build_poset` (which closes and validates) or :func:`restrict`;
     direct construction skips validation and is reserved for callers that
-    already hold a closed, antisymmetric relation.
+    already hold closed, antisymmetric masks.
     """
 
     elements: tuple[ElementId, ...]
-    relation: frozenset[tuple[ElementId, ElementId]]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_carrier", frozenset(self.elements))
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     @property
     def carrier(self) -> frozenset[ElementId]:
         return self._carrier  # type: ignore[attr-defined]
 
-    def le(self, x: ElementId, y: ElementId) -> bool:
-        return (x, y) in self.relation
+    @property
+    def relation(self) -> frozenset[tuple[ElementId, ElementId]]:
+        """Every pair (x, y) with x <= y, reflexive pairs included."""
+        return frozenset([(x, x) for x in self.elements] + self._strict())
+
+    def _strict(self) -> list[tuple[ElementId, ElementId]]:
+        e = self.elements
+        return [(e[i], e[j]) for i, u in enumerate(self.up) for j in _indices(u)]
 
     def lt(self, x: ElementId, y: ElementId) -> bool:
-        return x != y and (x, y) in self.relation
+        i, j = self._index.get(x), self._index.get(y)  # type: ignore[attr-defined]
+        return i is not None and j is not None and bool(self.up[i] >> j & 1)
+
+    def le(self, x: ElementId, y: ElementId) -> bool:
+        return self.lt(x, y) or (x == y and x in self)
 
     def comparable(self, x: ElementId, y: ElementId) -> bool:
-        return (x, y) in self.relation or (y, x) in self.relation
+        return self.le(x, y) or self.lt(y, x)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -90,9 +103,25 @@ class FinitePoset:
         return x in self.carrier
 
     def __repr__(self) -> str:  # strict pairs only, to stay readable
-        strict = sorted(((x, y) for (x, y) in self.relation if x != y),
-                        key=lambda p: (id_key(p[0]), id_key(p[1])))
-        return f"FinitePoset({list(self.elements)!r}, strict={strict!r})"
+        return f"FinitePoset({list(self.elements)!r}, strict={self._strict()!r})"
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ids(P: FinitePoset, mask: int) -> frozenset[ElementId]:
+    """The elements whose bits are set in ``mask``, a mask over P's index."""
+    return frozenset(P.elements[i] for i in _indices(mask))
+
+
+def _mask(P: FinitePoset, S: AbstractSet[ElementId]) -> int:
+    """A subset of the carrier as a mask over P's index."""
+    return sum(1 << P._index[x] for x in S)  # type: ignore[attr-defined]
 
 
 def build_poset(
@@ -105,6 +134,9 @@ def build_poset(
     Raises :class:`EmptyCarrier` for an empty element set and
     :class:`CycleDetected` when the closure relates two distinct elements both
     ways (antisymmetry is an invariant, never a normalization).
+
+    Kahn's algorithm finds a topological order and closes ``down`` on the
+    way; ``up`` is then closed in reverse order, one OR per edge each.
     """
     elems = [_check_id(e) for e in elements]
     if not elems:
@@ -112,40 +144,47 @@ def build_poset(
     if len(set(elems)) != len(elems):
         dup = next(e for e in elems if elems.count(e) > 1)
         raise ValidationError(f"duplicate id {dup!r} in carrier")
-    carrier = set(elems)
+    order = sorted_ids(elems)
+    index = {e: i for i, e in enumerate(order)}
 
-    succ: dict[ElementId, set[ElementId]] = {e: set() for e in elems}
+    succ, pred = [0] * len(order), [0] * len(order)
     for edge in strict_edges:
         try:
             a, b = edge
         except (TypeError, ValueError):
             raise ValidationError(f"edge {edge!r} is not a pair") from None
-        if a not in carrier or b not in carrier:
-            missing = a if a not in carrier else b
+        if a not in index or b not in index:
+            missing = a if a not in index else b
             raise ValidationError(f"edge endpoint {missing!r} not in carrier")
         if a != b:
-            succ[a].add(b)
+            succ[index[a]] |= 1 << index[b]
+            pred[index[b]] |= 1 << index[a]
 
-    # Reachability closure, one DFS per source.
-    reach: dict[ElementId, set[ElementId]] = {}
-    for source in elems:
-        seen: set[ElementId] = set()
-        stack = list(succ[source])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(succ[v])
-        reach[source] = seen
-
-    pairs = set()
-    for x in elems:
-        pairs.add((x, x))
-        for y in reach[x]:
-            if x in reach[y]:
-                raise CycleDetected(f"cycle through {x!r} and {y!r}")
-            pairs.add((x, y))
-    return FinitePoset(sorted_ids(carrier), frozenset(pairs))
+    up, down = [0] * len(order), [0] * len(order)
+    waiting = [p.bit_count() for p in pred]
+    ready = [i for i, w in enumerate(waiting) if not w]
+    topo: list[int] = []
+    while ready:
+        topo.append(i := ready.pop())
+        below = down[i] | 1 << i  # final: every predecessor came first
+        for j in _indices(succ[i]):
+            down[j] |= below
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    if len(topo) < len(order):
+        # Each element left has a predecessor left: walk back until one repeats.
+        left = (1 << len(order)) - 1 - sum(1 << i for i in topo)
+        seen, v = 0, next(_indices(left))
+        while not seen >> v & 1:
+            seen |= 1 << v
+            v = next(_indices(pred[v] & left))
+        u = next(_indices(pred[v] & left))
+        raise CycleDetected(f"cycle through {order[u]!r} and {order[v]!r}")
+    for i in reversed(topo):
+        for j in _indices(succ[i]):
+            up[i] |= up[j] | 1 << j
+    return FinitePoset(order, tuple(up), tuple(down))
 
 
 def is_chain(P: FinitePoset, S: AbstractSet[ElementId]) -> bool:
@@ -153,12 +192,8 @@ def is_chain(P: FinitePoset, S: AbstractSet[ElementId]) -> bool:
     elements is comparable.  Empty or stray sets are simply not chains."""
     if not S or not S <= P.carrier:
         return False
-    items = sorted_ids(S)
-    return all(
-        P.comparable(items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    )
+    s = _mask(P, S)
+    return all(not s & ~(P.up[i] | P.down[i] | 1 << i) for i in _indices(s))
 
 
 def is_antichain(P: FinitePoset, S: AbstractSet[ElementId]) -> bool:
@@ -166,24 +201,18 @@ def is_antichain(P: FinitePoset, S: AbstractSet[ElementId]) -> bool:
     pairs are equal (no two distinct elements comparable)."""
     if not S or not S <= P.carrier:
         return False
-    items = sorted_ids(S)
-    return not any(
-        P.comparable(items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    )
+    s = _mask(P, S)
+    return not any(P.up[i] & s for i in _indices(s))
 
 
 def minimal_elements(P: FinitePoset) -> frozenset[ElementId]:
     """Elements with nothing strictly below them; non-empty, an antichain."""
-    has_below = {y for (x, y) in P.relation if x != y}
-    return frozenset(P.carrier - has_below)
+    return frozenset(x for x, d in zip(P.elements, P.down) if not d)
 
 
 def maximal_elements(P: FinitePoset) -> frozenset[ElementId]:
     """Elements with nothing strictly above them; non-empty, an antichain."""
-    has_above = {x for (x, y) in P.relation if x != y}
-    return frozenset(P.carrier - has_above)
+    return frozenset(x for x, u in zip(P.elements, P.up) if not u)
 
 
 def minimal_below(P: FinitePoset, y: ElementId) -> ElementId:
@@ -191,16 +220,16 @@ def minimal_below(P: FinitePoset, y: ElementId) -> ElementId:
     choice is reproducible."""
     if y not in P:
         raise ElementNotInCarrier(f"{y!r} not in carrier")
-    candidates = [x for x in minimal_elements(P) if P.le(x, y)]
-    return min(candidates, key=id_key)
+    j = P._index[y]  # type: ignore[attr-defined]
+    return P.elements[next(i for i in _indices(P.down[j] | 1 << j) if not P.down[i])]
 
 
 def maximal_above(P: FinitePoset, x: ElementId) -> ElementId:
     """A maximal element y with x <= y; the smallest-id candidate."""
     if x not in P:
         raise ElementNotInCarrier(f"{x!r} not in carrier")
-    candidates = [y for y in maximal_elements(P) if P.le(x, y)]
-    return min(candidates, key=id_key)
+    i = P._index[x]  # type: ignore[attr-defined]
+    return P.elements[next(j for j in _indices(P.up[i] | 1 << i) if not P.up[j])]
 
 
 def restrict(P: FinitePoset, S: AbstractSet[ElementId]) -> FinitePoset:
@@ -210,22 +239,15 @@ def restrict(P: FinitePoset, S: AbstractSet[ElementId]) -> FinitePoset:
         raise EmptyCarrier("cannot restrict to an empty carrier")
     if not S <= P.carrier:
         raise NotASubset(f"{sorted_ids(set(S) - P.carrier)!r} not in carrier")
-    sub = frozenset(S)
-    rel = frozenset((x, y) for (x, y) in P.relation if x in sub and y in sub)
-    return FinitePoset(sorted_ids(sub), rel)
-
-
-def _order_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
-    """Strict order as bitmasks over the index of ``P.elements`` (id order):
-    bit j of ``up[i]`` and bit i of ``down[j]`` mark elements[i] < elements[j]."""
-    index = {e: i for i, e in enumerate(P.elements)}
-    up, down = [0] * len(index), [0] * len(index)
-    for (x, y) in P.relation:
-        if x != y:
-            ix, iy = index[x], index[y]
-            up[ix] |= 1 << iy
-            down[iy] |= 1 << ix
-    return up, down
+    s = _mask(P, S)
+    keep = list(_indices(s))  # ascending, so still id order
+    new = {i: k for k, i in enumerate(keep)}
+    up, down = [0] * len(keep), [0] * len(keep)
+    for k, i in enumerate(keep):
+        for j in _indices(P.up[i] & s):
+            up[k] |= 1 << new[j]
+            down[new[j]] |= 1 << k
+    return FinitePoset(tuple(P.elements[i] for i in keep), tuple(up), tuple(down))
 
 
 def verify_chain_cover(P: FinitePoset, cover: Iterable[AbstractSet[ElementId]]) -> bool:

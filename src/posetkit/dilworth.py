@@ -60,15 +60,17 @@ rest there, LOW the element bits and HIGH the guard bits, (rest' + LOW) &
 HIGH has one bit per field that rest' meets.  The pruned search visits the exhaustive search's nodes in the same
 order and skips only subtrees without a solution, so it yields the same
 antichains in the same order and the certificates do not change.  Below a
-matching of PRUNE_MIN_MATCHED pairs, laying the chains out costs more than
-it saves, and the exhaustive ``oracle._antichain_masks`` runs instead; |M|
-never grows down the recursion (halves keep m, a peel removes two elements
-and lowers m by one), so the choice is made once per call.
+width of PRUNE_MIN_WIDTH the exhaustive ``oracle._antichain_masks`` runs
+instead: it searches for m elements, few enough that laying the chains out
+costs more than the prune saves, however many pairs the matching has.  m
+never grows down the recursion (halves keep it, a peel lowers it by one),
+so the choice is made once per call.
 
 A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
 by id, so ascending bit order is id order: the lexicographically first witness
 and every tie-break are those of the same recursion over restricted posets.
-The strict up/down masks are built once per call; ids come back at the end.
+The recursion reads the poset's own strict up/down masks; ids come back at
+the end.
 
 ``disjointify_cover`` turns a smallest cover into a pairwise-disjoint one of
 the same size; minimality is essential (a non-smallest cover can lose a chain
@@ -78,13 +80,15 @@ entirely), so it is a checked precondition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import oracle
 from .core import (
     ChainCover,
     ElementId,
     FinitePoset,
-    _order_masks,
+    _ids,
+    _indices,
     canonical_cover,
     verify_chain_cover,
 )
@@ -92,8 +96,8 @@ from .errors import NotASmallestCover
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
-# Below this many matched pairs the chain-space prune costs more than it saves.
-PRUNE_MIN_MATCHED = 10
+# Below this width the chain-space prune costs more than it saves.
+PRUNE_MIN_WIDTH = 10
 
 
 @dataclass(frozen=True)
@@ -124,23 +128,19 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
-    up, down = _order_masks(P)
-    matching = _max_matching(up)
+    matching = _max_matching(P.up)
     m = len(P) - len(matching)
-    comp = [u | d for u, d in zip(up, down)]
+    comp = [u | d for u, d in zip(P.up, P.down)]
     space = None
-    if len(matching) >= PRUNE_MIN_MATCHED:
+    if m >= PRUNE_MIN_WIDTH:
         space = _chain_space(_chains(matching, len(P)), comp)
-    order = (up, down, comp, space)
+    order = (P.up, P.down, comp, space)
     full = (1 << len(P)) - 1
     found = _antichains(order, full, m)
     cover = _perles(order, full, m, found, len(found) < 3)
     assert len(cover) == m
-
-    def ids(mask: int) -> frozenset[ElementId]:
-        return frozenset(e for i, e in enumerate(P.elements) if mask >> i & 1)
-
-    return DilworthCertificate(m, ids(found[0][0]), canonical_cover(map(ids, cover)))
+    return DilworthCertificate(m, _ids(P, found[0][0]),
+                               canonical_cover(_ids(P, c) for c in cover))
 
 
 # A chain cover laid out as bit fields: each element index's one bit in its
@@ -148,11 +148,11 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
 # the guard bit above each field (HIGH).
 _ChainSpace = tuple[list[int], list[int], int, int]
 # Perles' per-call masks: the strict up and down masks, their union, and the
-# chain space of the matching's chains (None below PRUNE_MIN_MATCHED pairs).
-_Order = tuple[list[int], list[int], list[int], "_ChainSpace | None"]
+# chain space of the matching's chains (None below width PRUNE_MIN_WIDTH).
+_Order = tuple[tuple[int, ...], tuple[int, ...], list[int], "_ChainSpace | None"]
 
 
-def _max_matching(adj: list[int]) -> dict[int, int]:
+def _max_matching(adj: Sequence[int]) -> dict[int, int]:
     """A maximum matching of each x to a bit y of ``adj[x]``, as y -> x, by
     Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺)."""
     owner: dict[int, int] = {}  # y -> the x matched to it
@@ -249,15 +249,6 @@ def _antichains(order: _Order, S: int, k: int) -> list[tuple[int, int, int]]:
     return [(c, _union(up, c), _union(down, c)) for c in found]
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask`` as one-bit masks, ascending."""
-    out = []
-    while mask:
-        out.append(mask & -mask)
-        mask ^= out[-1]
-    return out
-
-
 def _split(S: int, found: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
     """The first antichain of ``found`` that lies in S and is neither S's
     minimal nor its maximal elements, with the parts of S above and below it
@@ -269,16 +260,16 @@ def _split(S: int, found: list[tuple[int, int, int]]) -> tuple[int, int, int] | 
     return None
 
 
-def _short_frame(up: list[int], S: int, m: int) -> list[int]:
+def _short_frame(up: tuple[int, ...], S: int, m: int) -> list[int]:
     """The chains Perles' peels leave of a carrier S of width m with
     |S| <= m + 1, in one pass (see the module docstring)."""
     if S.bit_count() == m:
-        return _bits(S)
+        return [1 << i for i in _indices(S)]
     rest = S  # x: the lowest element with something above it
     while not up[(x := (rest & -rest).bit_length() - 1)] & S:
         rest &= rest - 1
     pair = 1 << x | (y := up[x] & S) & -y
-    return [pair] + _bits(S & ~pair)
+    return [pair] + [1 << i for i in _indices(S & ~pair)]
 
 
 def _perles(order: _Order, S: int, m: int, found: list[tuple[int, int, int]],
@@ -337,7 +328,7 @@ def _perles(order: _Order, S: int, m: int, found: list[tuple[int, int, int]],
     upper_by = keyed(upper, at_bottom=True)
     lower_by = keyed(lower, at_bottom=False)
     assert len(upper_by) == len(lower_by) == m
-    return [upper_by[a] | lower_by[a] for a in _bits(chosen)] + peeled
+    return [upper_by[1 << i] | lower_by[1 << i] for i in _indices(chosen)] + peeled
 
 
 def disjointify_cover(

@@ -115,7 +115,7 @@ def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violatio
             seen = 0
             for i in combo:
                 seen |= nbr[i]
-            found = bin(seen).count("1")
+            found = seen.bit_count()
             if found < k:
                 return Violation(frozenset(G.left[i] for i in combo), k - found)
     return None

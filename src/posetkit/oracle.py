@@ -17,7 +17,8 @@ from .core import (
     ChainCover,
     ElementId,
     FinitePoset,
-    _order_masks,
+    _ids,
+    _indices,
     canonical_cover,
     sorted_ids,
 )
@@ -44,21 +45,20 @@ def _require_cap(n: int, cap: int, what: str, flag: str = "--oracle-cap") -> Non
         raise InstanceTooLarge(f"{what}: instance has {n} elements, cap is {cap} (raise it with {flag})")
 
 
-def _conflict_masks(P: FinitePoset) -> tuple[tuple[ElementId, ...], list[int], list[int]]:
+def _conflict_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
     """Per-element bitmasks over the sorted carrier.
 
     Bit j of ``comp[i]`` marks that element j is comparable to (and distinct
     from) element i; ``incomp`` is the complement within the carrier.
     """
-    up, down = _order_masks(P)
-    comp = [u | d for u, d in zip(up, down)]
+    comp = [u | d for u, d in zip(P.up, P.down)]
     full = (1 << len(comp)) - 1
     incomp = [full & ~c & ~(1 << i) for i, c in enumerate(comp)]
-    return P.elements, comp, incomp
+    return comp, incomp
 
 
-def _lex_first_max_compatible(n: int, conflict: list[int]) -> list[int]:
-    """Indices of a largest subset avoiding all internal conflicts.
+def _lex_first_max_compatible(n: int, conflict: list[int]) -> int:
+    """A largest subset avoiding all internal conflicts, as a mask.
 
     Depth-first search in ascending index order visits subsets in
     lexicographic order, so the first subset to reach a new maximum size is
@@ -71,13 +71,13 @@ def _lex_first_max_compatible(n: int, conflict: list[int]) -> list[int]:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + bin(cand).count("1") <= len(best):
+        if len(chosen) + cand.bit_count() <= len(best):
             return
         rest = cand
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if len(chosen) + 1 + bin(rest).count("1") <= len(best):
+            if len(chosen) + 1 + rest.bit_count() <= len(best):
                 return
             i = bit.bit_length() - 1
             chosen.append(i)
@@ -85,31 +85,21 @@ def _lex_first_max_compatible(n: int, conflict: list[int]) -> list[int]:
             chosen.pop()
 
     search([], (1 << n) - 1)
-    return best
+    return sum(1 << i for i in best)
 
 
 def max_antichain(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     """A maximum-cardinality antichain; lexicographically first among ties."""
     _require_cap(len(P), cap, "max_antichain")
-    elems, comp, _ = _conflict_masks(P)
-    picked = _lex_first_max_compatible(len(elems), comp)
-    return SizedWitness(frozenset(elems[i] for i in picked), len(picked))
+    picked = _lex_first_max_compatible(len(P), _conflict_masks(P)[0])
+    return SizedWitness(_ids(P, picked), picked.bit_count())
 
 
 def max_chain(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     """A maximum-cardinality chain; lexicographically first among ties."""
     _require_cap(len(P), cap, "max_chain")
-    elems, _, incomp = _conflict_masks(P)
-    picked = _lex_first_max_compatible(len(elems), incomp)
-    return SizedWitness(frozenset(elems[i] for i in picked), len(picked))
-
-
-def iter_antichains_of_size(P: FinitePoset, k: int) -> Iterator[frozenset[ElementId]]:
-    """All antichains of exactly k elements, in lexicographic order of their
-    sorted id sequences."""
-    elems, comp, _ = _conflict_masks(P)
-    for mask in _antichain_masks(comp, (1 << len(elems)) - 1, k, None):
-        yield frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+    picked = _lex_first_max_compatible(len(P), _conflict_masks(P)[1])
+    return SizedWitness(_ids(P, picked), picked.bit_count())
 
 
 def _antichain_masks(comp: list[int], cand: int, k: int, limit: int | None) -> list[int]:
@@ -174,9 +164,7 @@ def _min_compatible_partition(n: int, conflict: list[int], lower_bound: int) -> 
     def dfs_witness(i: int, blocks: list[int]) -> None:
         nonlocal best_key
         if i == n:
-            key = tuple(
-                tuple(b for b in range(n) if mask >> b & 1) for mask in blocks
-            )
+            key = tuple(tuple(_indices(mask)) for mask in blocks)
             if best_key is None or key < best_key:
                 best_key = key
             return
@@ -201,25 +189,19 @@ def min_chain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> ChainCover:
     search (any cover can be made disjoint without growing, so partitions
     suffice)."""
     _require_cap(len(P), cap, "min_chain_cover", "cap=")
-    elems, comp, incomp = _conflict_masks(P)
-    width = len(_lex_first_max_compatible(len(elems), comp))
-    blocks = _min_compatible_partition(len(elems), incomp, width)
-    return canonical_cover(
-        frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        for mask in blocks
-    )
+    comp, incomp = _conflict_masks(P)
+    width = _lex_first_max_compatible(len(P), comp).bit_count()
+    blocks = _min_compatible_partition(len(P), incomp, width)
+    return canonical_cover(_ids(P, mask) for mask in blocks)
 
 
 def min_antichain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> AntichainCover:
     """An antichain cover of minimum cardinality by exhaustive partition search."""
     _require_cap(len(P), cap, "min_antichain_cover", "cap=")
-    elems, comp, incomp = _conflict_masks(P)
-    height = len(_lex_first_max_compatible(len(elems), incomp))
-    blocks = _min_compatible_partition(len(elems), comp, height)
-    return canonical_cover(
-        frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        for mask in blocks
-    )
+    comp, incomp = _conflict_masks(P)
+    height = _lex_first_max_compatible(len(P), incomp).bit_count()
+    blocks = _min_compatible_partition(len(P), comp, height)
+    return canonical_cover(_ids(P, mask) for mask in blocks)
 
 
 def enumerate_posets(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[FinitePoset]:
@@ -233,30 +215,11 @@ def enumerate_posets(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[FinitePose
     elems = sorted_ids(f"e{i + 1}" for i in range(n))
     pairs = list(combinations(range(n), 2))
     for assignment in product((0, 1, 2), repeat=len(pairs)):
-        succ = [0] * n
+        up, down = [0] * n, [0] * n
         for (i, j), state in zip(pairs, assignment):
-            if state == 1:
-                succ[i] |= 1 << j
-            elif state == 2:
-                succ[j] |= 1 << i
-        transitive = True
-        for x in range(n):
-            rest = succ[x]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if succ[bit.bit_length() - 1] & ~succ[x]:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if not transitive:
-            continue
-        rel = {(e, e) for e in elems}
-        for x in range(n):
-            rest = succ[x]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                rel.add((elems[x], elems[bit.bit_length() - 1]))
-        yield FinitePoset(elems, frozenset(rel))
+            if state:
+                lo, hi = (i, j) if state == 1 else (j, i)
+                up[lo] |= 1 << hi
+                down[hi] |= 1 << lo
+        if not any(up[j] & ~up[i] for i in range(n) for j in _indices(up[i])):
+            yield FinitePoset(elems, tuple(up), tuple(down))

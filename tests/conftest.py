@@ -99,6 +99,15 @@ def ref_min_cover_size(P: FinitePoset, predicate) -> int:
     )
 
 
+def ref_reach(names, edges):
+    """The reflexive-transitive closure of the edges as a pair set, by
+    composing the relation with itself until it stops growing."""
+    rel = {(x, x) for x in names} | set(edges)
+    while (more := rel | {(x, z) for (x, y) in rel for (y2, z) in rel if y == y2}) != rel:
+        rel = more
+    return frozenset(rel)
+
+
 def random_poset(rng: random.Random, n: int) -> FinitePoset:
     """Random labeled poset: random edges over a fixed element order (always
     acyclic), closed by build_poset."""

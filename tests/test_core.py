@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -28,7 +30,7 @@ from posetkit.errors import (
     ValidationError,
 )
 
-from conftest import nonempty_subsets, ref_is_antichain, ref_is_chain
+from conftest import nonempty_subsets, ref_is_antichain, ref_is_chain, ref_reach
 
 
 def test_build_singleton():
@@ -200,6 +202,53 @@ def test_build_poset_satisfies_order_axioms(data):
     except CycleDetected:
         return
     _assert_order_axioms(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_poset_is_the_exact_closure(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    names = [f"x{i}" for i in range(n)]
+    edges = data.draw(st.sets(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=16))
+    reach = ref_reach(names, edges)
+    if all(x == y or (y, x) not in reach for (x, y) in reach):
+        assert build_poset(names, edges).relation == reach
+        return
+    with pytest.raises(CycleDetected) as caught:
+        build_poset(names, edges)
+    # The diagnostic names two elements of one cycle.
+    x, y = re.fullmatch(r"cycle through '(\w+)' and '(\w+)'", str(caught.value)).groups()
+    assert x != y and (x, y) in reach and (y, x) in reach
+
+
+def test_restrict_keeps_the_pairs_inside(posets_upto_4):
+    for P in posets_upto_4:
+        for S in map(set, nonempty_subsets(P.elements)):
+            assert restrict(P, S).relation == frozenset(
+                (x, y) for (x, y) in P.relation if x in S and y in S)
+
+
+@pytest.mark.parametrize("shape", ["chain", "antichain"])
+def test_build_poset_of_1000_elements_stays_small(shape):
+    """The order is held as one up and one down mask per element, not as its
+    pairs: a 1,000-element chain has 500,500 of them."""
+    names = [f"c{i:04d}" for i in range(1000)]
+    edges = list(zip(names, names[1:])) if shape == "chain" else []
+    tracemalloc.start()
+    try:
+        P = build_poset(names, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    first, last = names[0], names[-1]
+    if shape == "chain":
+        assert P.le(first, last) and not P.le(last, first)
+        assert (minimal_elements(P), maximal_elements(P)) == ({first}, {last})
+    else:
+        assert not P.comparable(first, last)
+        assert minimal_elements(P) == maximal_elements(P) == P.carrier
 
 
 def test_order_axioms_on_enumerated(posets_upto_4):

