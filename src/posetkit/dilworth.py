@@ -25,7 +25,7 @@ Such a frame also finishes in one pass.  At |S| = m it peels singletons.  At
 three-element chain, would leave a cover of m − 1 chains) and some pair
 exists (S is no antichain), so they form a star with no three-element chain:
 an element with something above it is minimal and one above it is maximal.
-Let x be the lowest element with something above it.  The peels take the
+Let x be the lowest element that is not maximal.  The peels take the
 minimal elements of lower index than x, all isolated, as singletons, then x
 with the lowest y > x, and then, the rest being an antichain of the
 remaining width, singletons: {x, y} and singletons.
@@ -39,13 +39,21 @@ the parent's search found fewer than three, the prefix holds all of H's.  H
 searches only when the prefix has no non-extremal entry and was cut short.
 A peel lowers the width, so the prefix is dropped.
 
-A size-m antichain c of a width-m carrier S is S's minimal elements exactly
-when no element of S lies below c, that is, OR(down[i] for i in c) & S == 0.
-If none does, each element of c is minimal, so c lies in the minimal
-elements, an antichain of at most m elements, and equals it; the converse is
-plain.  The maximal case is the same with ``up``.  Each antichain found
-carries those two ORs, so a candidate costs O(1) big-integer operations, not
-a scan of S, and case 2's x and y come from scans that stop at the first hit.
+Each frame carries the masks lo and hi of its carrier's minimal and maximal
+elements, so an antichain found is extremal exactly when it is lo or hi, and
+only the one a frame splits on has its up/down masks ORed.  The top frame
+reads them off the poset.  The half above a chosen antichain has it as its
+minimal elements (each element lies above one of it) and hi & half as its
+maximal ones (whatever lies above an element of the half is in it); the half
+below mirrors this.  After a peel of x and y only the bits of up[x] & S can
+have become minimal and only those of down[y] & S maximal.
+
+The cover is a partition of P.  The halves of a split cover S (an element
+comparable to no element of the chosen antichain would extend it) and meet
+only in it (one above a and below b of it gives a < b); by induction each
+half's m chains partition it and meet the antichain once each, so joining
+them at its bits partitions S.  Peels and short frames leave disjoint chains.
+``perles_chain_cover`` checks the partition once, on masks.
 
 The search is pruned by the chains Fulkerson's matching already gives: each
 matched x → y links x to the next element of its chain, so the matching of
@@ -57,9 +65,10 @@ frame, also after a peel, when more chains than its width may meet S.  The
 chains are laid out once per call as fields of a second bit space, one
 element bit each and a guard bit above each field; with rest' the image of
 rest there, LOW the element bits and HIGH the guard bits, (rest' + LOW) &
-HIGH has one bit per field that rest' meets.  The pruned search visits the exhaustive search's nodes in the same
-order and skips only subtrees without a solution, so it yields the same
-antichains in the same order and the certificates do not change.  Below a
+HIGH has one bit per field that rest' meets.  The pruned search visits the
+exhaustive search's nodes in the same order and skips only subtrees without
+a solution, so it yields the same antichains in the same order and the
+certificates do not change.  Below a
 width of PRUNE_MIN_WIDTH the exhaustive ``oracle._antichain_masks`` runs
 instead: it searches for m elements, few enough that laying the chains out
 costs more than the prune saves, however many pairs the matching has.  m
@@ -68,9 +77,10 @@ so the choice is made once per call.
 
 A frame is a carrier bitmask over one index of ``P.elements``, which is sorted
 by id, so ascending bit order is id order: the lexicographically first witness
-and every tie-break are those of the same recursion over restricted posets.
-The recursion reads the poset's own strict up/down masks; ids come back at
-the end.
+and every tie-break are those of the same recursion over restricted posets,
+and disjoint chains sorted by their lowest bit are in ``canonical_cover``'s
+order.  The recursion reads the poset's own strict up/down masks; ids come
+back at the end.
 
 ``disjointify_cover`` turns a smallest cover into a pairwise-disjoint one of
 the same size; minimality is essential (a non-smallest cover can lose a chain
@@ -137,10 +147,17 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     order = (P.up, P.down, comp, space)
     full = (1 << len(P)) - 1
     found = _antichains(order, full, m)
-    cover = _perles(order, full, m, found, len(found) < 3)
-    assert len(cover) == m
-    return DilworthCertificate(m, _ids(P, found[0][0]),
-                               canonical_cover(_ids(P, c) for c in cover))
+    cover = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
+                    m, found, len(found) < 3)
+    # One check, on masks: an antichain of m, and m chains that partition P
+    # (chains sharing a bit would carry in their sum and lose bits).
+    witness = found[0]
+    assert len(cover) == m == witness.bit_count()
+    assert not any(comp[i] & witness for i in _indices(witness))
+    assert sum(cover) == full and sum(chain.bit_count() for chain in cover) == len(P)
+    assert all(not chain & ~(comp[i] | 1 << i) for chain in cover for i in _indices(chain))
+    cover.sort(key=lambda chain: chain & -chain)
+    return DilworthCertificate(m, _ids(P, witness), tuple(_ids(P, c) for c in cover))
 
 
 # A chain cover laid out as bit fields: each element index's one bit in its
@@ -238,97 +255,83 @@ def _pruned_antichain_masks(comp: list[int], space: _ChainSpace, cand: int, k: i
     return found
 
 
-def _antichains(order: _Order, S: int, k: int) -> list[tuple[int, int, int]]:
-    """The first three size-k antichains inside S, in the exhaustive search's
-    order, each with the OR of its elements' up masks and of their down masks."""
-    up, down, comp, space = order
+def _extremal(masks: Sequence[int], cand: int, S: int) -> int:
+    """The bits i of ``cand`` with no bit of S in ``masks[i]``: over down
+    masks the elements of cand minimal in S, over up masks the maximal ones."""
+    return sum(1 << i for i in _indices(cand) if not masks[i] & S)
+
+
+def _antichains(order: _Order, S: int, k: int) -> list[int]:
+    """The first three size-k antichains inside S, in the exhaustive search's order."""
+    _, _, comp, space = order
     if space is None:
-        found = oracle._antichain_masks(comp, S, k, 3)
-    else:
-        found = _pruned_antichain_masks(comp, space, S, k, 3)
-    return [(c, _union(up, c), _union(down, c)) for c in found]
+        return oracle._antichain_masks(comp, S, k, 3)
+    return _pruned_antichain_masks(comp, space, S, k, 3)
 
 
-def _split(S: int, found: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
-    """The first antichain of ``found`` that lies in S and is neither S's
-    minimal nor its maximal elements, with the parts of S above and below it
-    (the antichain itself lies in both); None when there is none."""
-    for chosen, ups, downs in found:
-        # Nothing of S above (below) it: the maximal (minimal) elements.
-        if not chosen & ~S and ups & S and downs & S:
-            return chosen, ups & S | chosen, downs & S | chosen
-    return None
+def _split(S: int, lo: int, hi: int, found: list[int]) -> int | None:
+    """The first antichain of ``found`` inside S that is neither S's minimal
+    elements ``lo`` nor its maximal elements ``hi``; None when there is none."""
+    return next((c for c in found if not c & ~S and c != lo and c != hi), None)
 
 
-def _short_frame(up: tuple[int, ...], S: int, m: int) -> list[int]:
-    """The chains Perles' peels leave of a carrier S of width m with
-    |S| <= m + 1, in one pass (see the module docstring)."""
+def _short_frame(up: tuple[int, ...], S: int, hi: int, m: int) -> list[int]:
+    """The chains Perles' peels leave of a carrier S of width m, |S| <= m + 1,
+    and maximal elements ``hi``, in one pass (see the module docstring)."""
     if S.bit_count() == m:
         return [1 << i for i in _indices(S)]
-    rest = S  # x: the lowest element with something above it
-    while not up[(x := (rest & -rest).bit_length() - 1)] & S:
-        rest &= rest - 1
-    pair = 1 << x | (y := up[x] & S) & -y
+    x = S & ~hi  # the elements that are not maximal
+    x &= -x
+    pair = x | (y := up[x.bit_length() - 1] & S) & -y
     return [pair] + [1 << i for i in _indices(S & ~pair)]
 
 
-def _perles(order: _Order, S: int, m: int, found: list[tuple[int, int, int]],
+def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
             complete: bool) -> list[int]:
-    """m chain masks covering the carrier mask S, of width m.  ``found`` is a
+    """m disjoint chain masks covering the carrier mask S, of width m, with
+    minimal elements ``lo`` and maximal elements ``hi``.  ``found`` is a
     prefix, in search order, of the size-m antichains of a width-m carrier
     that contains S; ``complete`` says it holds all of them."""
     up, down, _, _ = order
     peeled: list[int] = []
     while True:
-        split = _split(S, found)
-        if split is None and S.bit_count() <= m + 1:
+        chosen = _split(S, lo, hi, found)
+        if chosen is None and S.bit_count() <= m + 1:
             # Every maximum antichain is extremal (see the module docstring).
-            return _short_frame(up, S, m) + peeled
-        if split is None and not complete:
+            return _short_frame(up, S, hi, m) + peeled
+        if chosen is None and not complete:
             # At most two size-m antichains are extremal, so a third is not.
             found = _antichains(order, S, m)
             complete = len(found) < 3
-            split = _split(S, found)
-        if split is not None:
+            chosen = _split(S, lo, hi, found)
+        if chosen is not None:
             break
         # Case 2: every maximum antichain is an extremal one.  Peel one chain
         # from the lowest minimal element x to the lowest maximal y >= x; the
         # rest has width m - 1, so the prefix no longer applies.  It keeps at
         # least m elements, as |S| >= m + 2 here, so it is not empty.
-        rest = S
-        while down[(x := rest & -rest).bit_length() - 1] & S:
-            rest ^= x
-        rest = (up[x.bit_length() - 1] | x) & S
-        while up[(y := rest & -rest).bit_length() - 1] & S:
-            rest ^= y
+        x = lo & -lo
+        y = (up[x.bit_length() - 1] | x) & hi
+        y &= -y
         peeled.append(x | y)
         S &= ~(x | y)
+        lo = lo & S | _extremal(down, up[x.bit_length() - 1] & S, S)
+        hi = hi & S | _extremal(up, down[y.bit_length() - 1] & S, S)
         m -= 1
         found, complete = [], False
 
     # Case 1: split by the antichain into the part above it and the part below
     # it; both halves hold it, so they have width m and its antichains.
-    chosen, above, below = split
-    assert above | below == S
+    above = _union(up, chosen) & S | chosen
+    below = _union(down, chosen) & S | chosen
     assert above != S and below != S
-    upper = _perles(order, above, m, found, complete)
-    lower = _perles(order, below, m, found, complete)
-    assert len(upper) == m and len(lower) == m
-
-    def keyed(chains: list[int], at_bottom: bool) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for chain in chains:
-            a = chain & chosen
-            assert a.bit_count() == 1, "each chain meets the antichain exactly once"
-            i = a.bit_length() - 1
-            assert not chain & ~(a | (up[i] if at_bottom else down[i]))
-            out[a] = chain
-        return out
-
-    upper_by = keyed(upper, at_bottom=True)
-    lower_by = keyed(lower, at_bottom=False)
-    assert len(upper_by) == len(lower_by) == m
-    return [upper_by[1 << i] | lower_by[1 << i] for i in _indices(chosen)] + peeled
+    upper = _perles(order, above, chosen, hi & above, m, found, complete)
+    lower = _perles(order, below, lo & below, chosen, m, found, complete)
+    # Join the halves at the antichain, which each chain meets exactly once.
+    leftover = {chain & chosen: chain for chain in upper}
+    joined = [leftover.pop(chain & chosen) | chain for chain in lower]
+    assert not leftover
+    return joined + peeled
 
 
 def disjointify_cover(

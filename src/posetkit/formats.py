@@ -272,7 +272,18 @@ def sdr_certificate(result: dict[ElementId, ElementId] | Violation, minimality_c
     }
     if isinstance(result, Violation):
         return {"kind": "sdr", "violation": _violation_out(result), "meta": meta}
-    return {"kind": "sdr", "choice": {str(k): result[k] for k in result}, "meta": meta}
+    return {"kind": "sdr", "choice": {name: result[k] for name, k in _by_name(result).items()}, "meta": meta}
+
+
+def _by_name(members: Iterable[ElementId]) -> dict[str, ElementId]:
+    """Each member under the string that names it in a certificate; two
+    members that print the same cannot both be named there."""
+    out: dict[str, ElementId] = {}
+    for member in members:
+        if (name := str(member)) in out:
+            raise ValidationError(f"members {out[name]!r} and {member!r} are both named {name!r}")
+        out[name] = member
+    return out
 
 
 def subsequence_certificate(w: SubseqWitness, m: int, n: int) -> dict[str, Any]:
@@ -379,12 +390,12 @@ def _verify_sdr(family: SetFamily, cert: dict[str, Any], oracle_cap: int) -> tup
     choice = _field(cert, "choice")
     if not isinstance(choice, dict):
         raise ValidationError("choice: expected an object")
-    by_key = {str(nm): ids for nm, ids in family.items()}  # certificate keys are strings
-    if set(choice) != set(by_key):
+    by_name = _by_name(family)
+    if set(choice) != set(by_name):
         return False, "choice does not name every member exactly once"
     picked = []
     for name, value in choice.items():
-        if _id_entry(value, f"choice[{name!r}]") not in by_key[name]:
+        if _id_entry(value, f"choice[{name!r}]") not in family[by_name[name]]:
             return False, f"choice for {name!r} is not in the member set"
         picked.append(value)
     if len(set(picked)) != len(picked):
@@ -399,6 +410,8 @@ def _verify_subsequence(parent: IntSeq, cert: dict[str, Any], oracle_cap: int) -
     values = _list(_field(cert, "values"), "values")
     witness = SubseqWitness(direction, seq_from_list(values))
     m, n = _int(_field(cert, "m"), "m"), _int(_field(cert, "n"), "n")
+    if m < 0 or n < 0:
+        raise ValidationError("m and n must be non-negative")
     if len(parent) != m * n + 1:
         return False, "instance does not have m*n+1 values"
     promised = m + 1 if direction == INCREASING else n + 1

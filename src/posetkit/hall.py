@@ -2,8 +2,8 @@
 
 A bipartite graph is read as a height-two poset (reflexive closure of the
 left-to-right edges).  When every left subset has enough neighbors, the right
-part is a maximum antichain, the chain-cover solver yields |R| disjoint
-chains, and the two-element chains among them are a left-perfect matching.
+part is a maximum antichain, the chain-cover solver partitions the poset into
+|R| chains, and the two-element chains among them are a left-perfect matching.
 The set-family form (systems of distinct representatives) reduces to the same
 machinery over a tagged vertex namespace.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
-from .core import ElementId, FinitePoset, build_poset, id_key, is_antichain, sorted_ids, verify_chain_cover
-from .dilworth import _max_matching, disjointify_cover, perles_chain_cover
+from .core import ElementId, FinitePoset, _check_id, id_key, sorted_ids
+from .dilworth import _max_matching, perles_chain_cover
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP
 
@@ -62,8 +62,8 @@ def build_bigraph(
     edges: Iterable[tuple[ElementId, ElementId]],
 ) -> BipartiteGraph:
     """Validate vertex parts and edges into a :class:`BipartiteGraph`."""
-    lefts = sorted_ids(left)
-    rights = sorted_ids(right)
+    lefts = sorted_ids(map(_check_id, left))
+    rights = sorted_ids(map(_check_id, right))
     if not lefts or not rights:
         raise ValidationError("both vertex parts must be non-empty")
     lset, rset = set(lefts), set(rights)
@@ -122,9 +122,16 @@ def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violatio
 
 
 def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
-    """The height-two poset whose order is the reflexive closure of the edges
-    (transitive and antisymmetric for free, as edges only run left to right)."""
-    return build_poset(G.left + G.right, G.edges)
+    """The height-two poset whose order is the reflexive closure of the edges.
+    Edges run only from left to right, so they are closed as they stand: the
+    strict masks are read off the edge set ``build_bigraph`` validated."""
+    elements = sorted_ids(G.left + G.right)
+    index = {e: i for i, e in enumerate(elements)}
+    up, down = [0] * len(elements), [0] * len(elements)
+    for (u, v) in G.edges:
+        up[index[u]] |= 1 << index[v]
+        down[index[v]] |= 1 << index[u]
+    return FinitePoset(elements, tuple(up), tuple(down))
 
 
 def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]], require_L_perfect: bool) -> bool:
@@ -152,25 +159,17 @@ def find_L_perfect_matching(
     one out; the subsets are enumerated only when Kuhn's maximum matching
     misses a left vertex (Hall's theorem), to name the smallest violation.
 
-    Construction: chain-cover the graph poset (the cover size is |R|), make
-    the cover disjoint, and read the two-element chains as matched pairs."""
+    Construction: chain-cover the graph poset, which partitions it into |R|
+    chains of at most two elements; the |L| two-element ones are the pairs."""
     if len(G.left) > subset_cap or len(_max_matching(_neighbour_masks(G))) < len(G.left):
         bad = hall_condition(G, subset_cap)  # above the cap: the --subset-cap error
         assert bad is not None
         return bad
-    P = graph_to_poset(G)
-    cert = perles_chain_cover(P, oracle_cap)
-    # An antichain and a chain cover of equal size are both optimal (weak
-    # duality), so the cover is a smallest one without a second width search.
-    assert len(cert.antichain_witness) == len(cert.cover) == len(G.right)
-    assert verify_chain_cover(P, cert.cover) and is_antichain(P, cert.antichain_witness)
-    cover = disjointify_cover(P, cert.cover, check_minimality=False)
-    pairs = set()
-    for chain in cover:
-        if len(chain) == 2:
-            a, b = chain
-            pairs.add((a, b) if a in G.left_set else (b, a))
-    matching: Matching = frozenset(pairs)
+    cert = perles_chain_cover(graph_to_poset(G), oracle_cap)  # checks its cover
+    assert len(cert.cover) == len(G.right)
+    # Each two-element chain, left vertex first.
+    matching: Matching = frozenset(tuple(sorted(chain, key=G.right_set.__contains__))
+                                   for chain in cert.cover if len(chain) == 2)
     assert verify_matching(G, matching, require_L_perfect=True)
     return matching
 
@@ -185,7 +184,8 @@ def find_sdr(
     whose union is smaller than it.
 
     Member names and ground elements live in different namespaces, so both are
-    retagged onto index-coded vertices before running the graph matcher."""
+    retagged onto index-coded vertices, distinct and sorted as generated, so
+    the graph needs no ``build_bigraph`` checks."""
     names = sorted(family, key=id_key)
     if not names:
         return {}
@@ -200,11 +200,8 @@ def find_sdr(
     rtag = {x: f"g{j:0{rwidth}d}" for j, x in enumerate(ground)}
     lback = {tag: nm for nm, tag in ltag.items()}
     rback = {tag: x for x, tag in rtag.items()}
-    G = build_bigraph(
-        ltag.values(),
-        rtag.values(),
-        ((ltag[nm], rtag[x]) for nm in names for x in family[nm]),
-    )
+    G = BipartiteGraph(tuple(ltag.values()), tuple(rtag.values()),
+                       frozenset((ltag[nm], rtag[x]) for nm in names for x in family[nm]))
     result = find_L_perfect_matching(G, subset_cap=subset_cap, oracle_cap=oracle_cap)
     if isinstance(result, Violation):
         return Violation(frozenset(lback[t] for t in result.members), result.deficiency)

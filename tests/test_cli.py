@@ -345,6 +345,19 @@ def test_verify_sdr_with_integer_member_names():
     assert formats.verify_certificate(formats.Instance(formats.FAMILY, family), cert) == (True, "ok")
 
 
+def test_sdr_member_names_that_print_the_same_are_rejected():
+    # No SDR: both members need "a".  Keyed by str, they would collapse into one.
+    family = {1: frozenset({"a"}), "1": frozenset({"a"})}
+    assert find_sdr(family) == posetkit.Violation(frozenset({1, "1"}), 1)
+    inst = formats.Instance(formats.FAMILY, family)
+    with pytest.raises(ValidationError, match="1.*'1'"):
+        formats.verify_certificate(inst, {"kind": "sdr", "choice": {"1": "a"}})
+    # An SDR exists, but its certificate could name only one of the two.
+    family = {1: frozenset({"a"}), "1": frozenset({"b"})}
+    with pytest.raises(ValidationError, match="1.*'1'"):
+        formats.sdr_certificate(find_sdr(family), minimality_checked=True)
+
+
 def test_verify_subsequence_rejects_wrong_length(tmp_path, capsys):
     seq = write(tmp_path, "s.json", SEQ)
     forged = tmp_path / "c.json"
@@ -360,8 +373,11 @@ def test_verify_subsequence_rejects_wrong_length(tmp_path, capsys):
     (SEQ, {"kind": "subsequence", "direction": "increasing", "values": [3, 4, 5],
            "m": "a", "n": 2}),
     (P3, {"kind": "chain-cover", "width": 2, "antichain": ["a", "c"], "cover": 5}),
+    # `es -m 0 -n -1` refuses these parameters, so verify must too.
+    ({"kind": "sequence", "values": [5]}, {"kind": "subsequence", "direction": "increasing",
+                                          "values": [5], "m": 0, "n": -1, "meta": {}}),
 ], ids=["matching-violation-not-object", "sdr-choice-not-an-id",
-        "subsequence-m-not-int", "chain-cover-cover-not-list"])
+        "subsequence-m-not-int", "chain-cover-cover-not-list", "subsequence-n-negative"])
 def test_verify_malformed_certificate_exits_2(tmp_path, capsys, payload, cert):
     inst = write(tmp_path, "inst.json", payload)
     path = write(tmp_path, "cert.json", cert)

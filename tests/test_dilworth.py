@@ -241,7 +241,8 @@ def test_small_carriers_have_only_extremal_maximum_antichains(posets_upto_4, pos
 def test_extremal_antichains_are_told_by_their_down_and_up_masks(posets_upto_4, posets_n5):
     """A size-width(S) antichain c of a carrier S is S's minimal elements
     exactly when nothing of S lies below c, and its maximal elements exactly
-    when nothing of S lies above it; ``_split`` rejects just those two."""
+    when nothing of S lies above it; ``_split``, told both sets, rejects just
+    those two."""
     antichains = 0
     for P in posets_upto_4 + posets_n5:
         up, down = P.up, P.down
@@ -262,7 +263,7 @@ def test_extremal_antichains_are_told_by_their_down_and_up_masks(posets_upto_4, 
                         above |= up[i]
                 assert (not below & S) == (c == min_set), (P, bin(S), bin(c))
                 assert (not above & S) == (c == max_set), (P, bin(S), bin(c))
-                assert (dilworth._split(S, [(c, above, below)]) is None) == (c in (min_set, max_set))
+                assert (dilworth._split(S, min_set, max_set, [c]) is None) == (c in (min_set, max_set))
     assert antichains == 226_915
 
 
@@ -293,7 +294,8 @@ def test_short_frames_finish_in_one_pass(posets_upto_4, posets_n5):
             else:
                 continue
             carriers += 1
-            chains = dilworth._short_frame(up, S, m)
+            max_set = sum(1 << i for i in range(len(P)) if S >> i & 1 and not up[i] & S)
+            chains = dilworth._short_frame(up, S, max_set, m)
             assert len(chains) == m
             assert sorted(chains) == sorted(_reference_peels(up, down, S)), (P, bin(S))
     assert carriers == 103_909
@@ -347,9 +349,9 @@ def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
         slack.append(S.bit_count() - k)
         return search(order, S, k)
 
-    def counting_perles(order, S, m, found, complete):
+    def counting_perles(order, S, lo, hi, m, found, complete):
         frames.append(S.bit_count() <= m + 1)
-        return perles(order, S, m, found, complete)
+        return perles(order, S, lo, hi, m, found, complete)
 
     monkeypatch.setattr(dilworth, "_antichains", counting_search)
     monkeypatch.setattr(dilworth, "_perles", counting_perles)
@@ -435,12 +437,15 @@ def test_chain_cover_certificates_are_byte_identical():
 SPARSE_CERTIFICATES_SHA256 = "e66a162f9a99ee2f75823fc10ea1756eee6cfd686f11cd3ae30918679d372b81"
 
 
-def test_sparse_chain_cover_certificates_are_byte_identical():
+def _sparse_corpus():
     rng = random.Random(6)
-    corpus = [_sparse_poset(rng, rng.randint(28, 44), rng.choice((0.05, 0.1))) for _ in range(60)]
+    return [(_sparse_poset(rng, rng.randint(28, 44), rng.choice((0.05, 0.1))), 48) for _ in range(60)]
+
+
+def test_sparse_chain_cover_certificates_are_byte_identical():
     digest = hashlib.sha256()
-    for P in corpus:
-        cert = perles_chain_cover(P, 48)
+    for P, cap in _sparse_corpus():
+        cert = perles_chain_cover(P, cap)
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert digest.hexdigest() == SPARSE_CERTIFICATES_SHA256
 
@@ -451,12 +456,15 @@ def test_sparse_chain_cover_certificates_are_byte_identical():
 LARGE_SPARSE_CERTIFICATES_SHA256 = "6a0b8796338c12c73c95f9f86f4e08696a77050be4df8bc10abe813e73df7387"
 
 
-def test_large_sparse_chain_cover_certificates_are_byte_identical():
+def _large_sparse_corpus():
     rng = random.Random(9)
-    corpus = [_sparse_poset(rng, rng.randint(50, 80), rng.choice((0.05, 0.1))) for _ in range(12)]
+    return [(_sparse_poset(rng, rng.randint(50, 80), rng.choice((0.05, 0.1))), 96) for _ in range(12)]
+
+
+def test_large_sparse_chain_cover_certificates_are_byte_identical():
     digest = hashlib.sha256()
-    for P in corpus:
-        cert = perles_chain_cover(P, 96)
+    for P, cap in _large_sparse_corpus():
+        cert = perles_chain_cover(P, cap)
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert digest.hexdigest() == LARGE_SPARSE_CERTIFICATES_SHA256
 
@@ -482,3 +490,44 @@ def test_prune_is_picked_by_width(monkeypatch, lengths, matched, lays_out):
     assert cert.width == len(lengths)
     assert (cert.width >= dilworth.PRUNE_MIN_WIDTH) == lays_out
     assert calls == lays_out
+
+
+# --- the cover is a partition, and frames carry their extremal masks -------------
+
+
+@pytest.fixture(scope="module")
+def perles_corpus(seeded_posets):
+    """Every poset with n <= 5, the 1,000 seeded ones and the sparse digest
+    corpora, each with the cap it is solved under."""
+    return [(P, 20) for P in seeded_posets] + _sparse_corpus() + _large_sparse_corpus()
+
+
+def test_perles_cover_is_a_partition(perles_corpus):
+    for P, cap in perles_corpus:
+        cover = perles_chain_cover(P, cap).cover
+        assert verify_chain_cover(P, cover) and sum(map(len, cover)) == len(P), P
+        assert cover == canonical_cover(cover)
+
+
+def test_frames_carry_their_extremal_masks(monkeypatch, perles_corpus):
+    """Each carrier ``_perles`` splits, peels from or finishes, the top one,
+    case-1 halves and the rest after a peel, comes with the masks of its
+    minimal and maximal elements as a scan of the carrier finds them."""
+    split = dilworth._split
+    carriers = peeled = 0
+
+    def scanning(P):
+        def scanning_split(S, lo, hi, found):
+            nonlocal carriers, peeled
+            bits = [i for i in range(len(P)) if S >> i & 1]
+            assert lo == sum(1 << i for i in bits if not P.down[i] & S), (P, bin(S))
+            assert hi == sum(1 << i for i in bits if not P.up[i] & S), (P, bin(S))
+            carriers += 1
+            peeled += not found  # only a peel leaves a frame with no antichains
+            return split(S, lo, hi, found)
+        return scanning_split
+
+    for P, cap in perles_corpus:
+        monkeypatch.setattr(dilworth, "_split", scanning(P))
+        perles_chain_cover(P, cap)
+    assert carriers > len(perles_corpus) and peeled > 0

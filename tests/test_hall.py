@@ -11,6 +11,7 @@ import pytest
 from posetkit import (
     Violation,
     build_bigraph,
+    build_poset,
     find_L_perfect_matching,
     find_sdr,
     formats,
@@ -45,6 +46,8 @@ def test_build_bigraph_validation():
         build_bigraph([], ["r"], [])
     with pytest.raises(ValidationError):
         build_bigraph(["l"], ["r"], [("r", "l")])
+    with pytest.raises(ValidationError):
+        build_bigraph([True], ["r"], [])
 
 
 def test_neighborhood(k22, thin):
@@ -81,6 +84,23 @@ def test_graph_to_poset(k22):
                                      [("l1", "r1"), ("l1", "r2")]))
     assert P.lt("l1", "r1") and P.lt("l1", "r2")
     assert not P.comparable("r1", "r2")
+
+
+def test_graph_to_poset_equals_the_closed_edge_set():
+    """The masks read off the edges are the poset ``build_poset`` closes from
+    them, over str, int and mixed ids, isolated vertices on both sides."""
+    rng = random.Random(13)
+    isolated = set()
+    for trial in range(300):
+        nl, nr = rng.randint(1, 6), rng.randint(1, 6)
+        ids = [(i, f"v{i}", i if rng.random() < 0.5 else f"{i}")[trial % 3] for i in range(nl + nr)]
+        rng.shuffle(ids)
+        left, right = ids[:nl], ids[nl:]
+        G = build_bigraph(left, right, [(u, v) for u in left for v in right if rng.random() < 0.3])
+        assert graph_to_poset(G) == build_poset(G.left + G.right, G.edges), G
+        touched = {x for edge in G.edges for x in edge}
+        isolated |= {"left" for u in left if u not in touched} | {"right" for v in right if v not in touched}
+    assert isolated == {"left", "right"}
 
 
 def test_graph_poset_height_at_most_two():
