@@ -11,7 +11,7 @@ operations; the pair set ``relation`` is a view derived on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -124,6 +124,15 @@ def _mask(P: FinitePoset, S: AbstractSet[ElementId]) -> int:
     return sum(1 << P._index[x] for x in S)  # type: ignore[attr-defined]
 
 
+def _union(masks: Sequence[int], mask: int) -> int:
+    """The OR of ``masks[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        out |= masks[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
+
+
 def build_poset(
     elements: Iterable[ElementId],
     strict_edges: Iterable[tuple[ElementId, ElementId]],
@@ -150,7 +159,7 @@ def build_poset(
     succ, pred = [0] * len(order), [0] * len(order)
     for edge in strict_edges:
         try:
-            a, b = edge
+            a, b = map(_check_id, edge)
         except (TypeError, ValueError):
             raise ValidationError(f"edge {edge!r} is not a pair") from None
         if a not in index or b not in index:

@@ -82,9 +82,10 @@ and disjoint chains sorted by their lowest bit are in ``canonical_cover``'s
 order.  The recursion reads the poset's own strict up/down masks; ids come
 back at the end.
 
-``disjointify_cover`` turns a smallest cover into a pairwise-disjoint one of
-the same size; minimality is essential (a non-smallest cover can lose a chain
-entirely), so it is a checked precondition.
+``disjointify_cover`` turns a chain cover into a pairwise-disjoint one of
+the same size.  Minimality is what makes that possible (a non-smallest cover
+can lose a chain entirely), so it checks, in polynomial time, exactly what
+the promise needs: the input is a chain cover and no chain is emptied.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ from .core import (
     FinitePoset,
     _ids,
     _indices,
+    _union,
     canonical_cover,
     verify_chain_cover,
 )
@@ -218,16 +220,6 @@ def _chain_space(chains: list[list[int]], comp: list[int]) -> _ChainSpace:
     return place, [_union(place, c) for c in comp], (1 << at) - 1 - high, high
 
 
-def _union(masks: list[int], mask: int) -> int:
-    """The OR of ``masks[i]`` over the set bits i of ``mask``; over ``place``,
-    the mask mapped into the chain space."""
-    out = 0
-    while mask:
-        out |= masks[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1
-    return out
-
-
 def _pruned_antichain_masks(comp: list[int], space: _ChainSpace, cand: int, k: int,
                             limit: int | None) -> list[int]:
     """``oracle._antichain_masks(comp, cand, k, limit)``, skipping each branch
@@ -334,41 +326,23 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
     return joined + peeled
 
 
-def disjointify_cover(
-    P: FinitePoset,
-    cover: ChainCover,
-    *,
-    check_minimality: bool | None = None,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> ChainCover:
-    """Make a smallest chain cover pairwise disjoint without changing its size.
+def disjointify_cover(P: FinitePoset, cover: ChainCover) -> ChainCover:
+    """Make a chain cover pairwise disjoint without changing its size.
 
     Each element is kept by the first chain (in canonical order) that contains
-    it; minimality guarantees no chain is emptied.  The precondition is checked
-    against the oracle when the carrier is within ``cap`` (pass
-    ``check_minimality`` to force either mode); an emptied chain proves the
-    cover was not smallest and is rejected in any mode.
+    it.  Raises :class:`NotASmallestCover` when ``cover`` is not a chain cover
+    of P or a chain loses all its elements, which only a cover that is not
+    smallest can do; a disjoint cover comes back as it is, smallest or not.
     """
     members = canonical_cover(cover)
-    if check_minimality is None:
-        check_minimality = len(P) <= cap
-    if check_minimality:
-        if not verify_chain_cover(P, members):
-            raise NotASmallestCover("not a chain cover of this poset")
-        w = oracle.max_antichain(P, cap).size
-        if len(members) != w:
-            raise NotASmallestCover(
-                f"cover has {len(members)} chains but a smallest cover has {w}"
-            )
+    if not verify_chain_cover(P, members):
+        raise NotASmallestCover("not a chain cover of this poset")
     taken: set[ElementId] = set()
     blocks: list[frozenset[ElementId]] = []
     for chain in members:
         block = chain - taken
         if not block:
-            raise NotASmallestCover(
-                "a chain lost all elements during disjointification; "
-                "the cover was not a smallest one"
-            )
+            raise NotASmallestCover("a chain lost all its elements; the cover was not a smallest one")
         blocks.append(block)
         taken |= chain
     return canonical_cover(blocks)

@@ -469,7 +469,7 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
         _verify_chain_cover),
     "antichain-cover": CertificateKind(
         "antichain-cover", POSET, "antichain cover of size equal to the height, with witness",
-        lambda P, args: antichain_cover_certificate(mirsky_antichain_cover(P, args.oracle_cap)),
+        lambda P, args: antichain_cover_certificate(mirsky_antichain_cover(P)),
         _verify_antichain_cover),
     "dilworth-report": CertificateKind(
         "check-dilworth", POSET, "report width vs. smallest-chain-cover size",

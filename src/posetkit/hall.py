@@ -5,7 +5,7 @@ left-to-right edges).  When every left subset has enough neighbors, the right
 part is a maximum antichain, the chain-cover solver partitions the poset into
 |R| chains, and the two-element chains among them are a left-perfect matching.
 The set-family form (systems of distinct representatives) reduces to the same
-machinery over a tagged vertex namespace.
+machinery over int vertex ids.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def build_bigraph(
     edge_set = set()
     for edge in edges:
         try:
-            u, v = edge
+            u, v = map(_check_id, edge)
         except (TypeError, ValueError):
             raise ValidationError(f"edge {edge!r} is not a pair") from None
         if u not in lset:
@@ -183,9 +183,9 @@ def find_sdr(
     """One distinct representative per member set, or a violating subfamily
     whose union is smaller than it.
 
-    Member names and ground elements live in different namespaces, so both are
-    retagged onto index-coded vertices, distinct and sorted as generated, so
-    the graph needs no ``build_bigraph`` checks."""
+    Names and elements may share ids, so element j becomes vertex j and member
+    i vertex len(ground) + i: distinct and sorted as generated, so the graph
+    needs no ``build_bigraph`` checks."""
     names = sorted(family, key=id_key)
     if not names:
         return {}
@@ -194,15 +194,12 @@ def find_sdr(
         # The lexicographically first singleton violation; nothing to match.
         return Violation(frozenset({empty[0]}), 1)
     ground = sorted({x for s in family.values() for x in s}, key=id_key)
-    lwidth = len(str(len(names) - 1))
-    rwidth = len(str(len(ground) - 1))
-    ltag = {nm: f"m{i:0{lwidth}d}" for i, nm in enumerate(names)}
-    rtag = {x: f"g{j:0{rwidth}d}" for j, x in enumerate(ground)}
-    lback = {tag: nm for nm, tag in ltag.items()}
-    rback = {tag: x for x, tag in rtag.items()}
-    G = BipartiteGraph(tuple(ltag.values()), tuple(rtag.values()),
-                       frozenset((ltag[nm], rtag[x]) for nm in names for x in family[nm]))
+    back = ground + names
+    vertex = {x: j for j, x in enumerate(ground)}
+    left = range(len(ground), len(back))
+    G = BipartiteGraph(tuple(left), tuple(range(len(ground))),
+                       frozenset((u, vertex[x]) for u, nm in zip(left, names) for x in family[nm]))
     result = find_L_perfect_matching(G, subset_cap=subset_cap, oracle_cap=oracle_cap)
     if isinstance(result, Violation):
-        return Violation(frozenset(lback[t] for t in result.members), result.deficiency)
-    return {lback[u]: rback[v] for (u, v) in result}
+        return Violation(frozenset(back[u] for u in result.members), result.deficiency)
+    return {back[u]: back[v] for (u, v) in result}

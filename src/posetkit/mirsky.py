@@ -1,6 +1,22 @@
-"""Constructive antichain-cover solver: peel maximal layers until nothing is
-left.  The layer count equals the height, which the layers themselves certify
-together with a chain that meets every layer once."""
+"""Constructive antichain-cover solver: peel maximal layers L_0 (the maximal
+elements), ..., L_{h-1} until nothing is left.  The layer count equals the
+height, which the layers certify together with a chain that meets each once.
+
+That chain is the lexicographically first longest chain, the set
+``oracle.max_chain`` returns, found at every size by a greedy on the layer
+masks.  x < y puts x in a later layer than y, so a chain of h elements meets
+every layer once, in order, and any y_{h-1} < ... < y_0 with each y_k in L_k
+is one: the longest chains are exactly the paths through the layers.
+``through(A)`` tests whether a mask A holds such a path: reach = L_{h-1} & A,
+then reach = L_k & A & (the OR of up[i] over reach) for each higher layer,
+each element ORed at most once.  The greedy starts from allowed = all and, h
+times, takes the lowest i in allowed & ~chain for which trial = the chain, i
+and the elements of allowed comparable to i above index i passes ``through``,
+then adds i to the chain and sets allowed = trial.  Two elements of one layer
+are incomparable, so trial meets each chosen element's layer only in that
+element and every path through trial holds the whole chain so far; taking
+the lowest feasible index at each step gives the lexicographically first.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +27,10 @@ from .core import (
     AntichainCover,
     ElementId,
     FinitePoset,
-    id_key,
+    _ids,
+    _indices,
+    _mask,
+    _union,
     maximal_elements,
     restrict,
 )
@@ -40,36 +59,36 @@ def height(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     return oracle.max_chain(P, cap)
 
 
-def mirsky_antichain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> MirskyCertificate:
-    """Antichain cover of size height(P), as the sequence of maximal layers.
-
-    The peel itself is polynomial and uncapped; the chain witness comes from
-    the oracle when the carrier fits under ``cap`` and is otherwise rebuilt by
-    walking one element per layer from the last layer upward.
-    """
+def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
+    """Antichain cover of size height(P), as the sequence of maximal layers,
+    with the lexicographically first longest chain as its witness; both are
+    polynomial (see the module docstring)."""
     layers: list[frozenset[ElementId]] = []
     left = set(P.carrier)
     while left:
         layer = maximal_elements(restrict(P, left))
         layers.append(layer)
         left -= layer
+    bottom_up = [_mask(P, layer) for layer in reversed(layers)]
 
-    if len(P) <= cap:
-        witness = oracle.max_chain(P, cap).witness
-        assert len(witness) == len(layers)
-    else:
-        pick = min(layers[-1], key=id_key)
-        picks = [pick]
-        for k in range(len(layers) - 2, -1, -1):
-            pick = min((z for z in layers[k] if P.le(pick, z)), key=id_key)
-            picks.append(pick)
-        witness = frozenset(picks)
+    def through(A: int) -> bool:
+        reach = bottom_up[0] & A
+        for layer in bottom_up[1:]:
+            reach = layer & A & _union(P.up, reach)
+        return bool(reach)
 
-    return MirskyCertificate(len(layers), witness, tuple(layers))
+    allowed, chain = (1 << len(P)) - 1, 0
+    for _ in layers:
+        for i in _indices(allowed & ~chain):
+            trial = chain | 1 << i | allowed & (P.up[i] | P.down[i]) & -(2 << i)
+            if through(trial):
+                chain, allowed = chain | 1 << i, trial
+                break
+    return MirskyCertificate(len(layers), _ids(P, chain), tuple(layers))
 
 
 def check_mirsky(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> MirskyReport:
     """Surface the height = smallest-antichain-cover-size equality."""
     h = oracle.max_chain(P, cap)
-    cert = mirsky_antichain_cover(P, cap)
+    cert = mirsky_antichain_cover(P)
     return MirskyReport(h.size, len(cert.layers), h.size == len(cert.layers))

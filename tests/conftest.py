@@ -175,3 +175,24 @@ def posets_upto_4():
 @pytest.fixture(scope="session")
 def posets_n5():
     return list(enumerate_posets(5))
+
+
+@pytest.fixture(scope="session")
+def seeded_posets(posets_upto_4, posets_n5):
+    """Every poset with n <= 5, then 1,000 random ones with n <= 16."""
+    rng = random.Random(2)
+    return posets_upto_4 + posets_n5 + [random_poset(rng, rng.randint(1, 16))
+                                        for _ in range(1000)]
+
+
+def sparse_poset(rng: random.Random, n: int, p: float) -> FinitePoset:
+    names = [f"v{i}" for i in range(n)]
+    return build_poset(names, [(names[i], names[j]) for i in range(n)
+                               for j in range(i + 1, n) if rng.random() < p])
+
+
+def sparse_corpus():
+    """60 sparse posets with n = 28..44, each with the oracle cap (48) that
+    covers them."""
+    rng = random.Random(6)
+    return [(sparse_poset(rng, rng.randint(28, 44), rng.choice((0.05, 0.1))), 48) for _ in range(60)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ import posetkit
 from posetkit import find_sdr, formats
 from posetkit.cli import run_command
 from posetkit.errors import ParseError, ValidationError
+from posetkit.oracle import DEFAULT_ORACLE_CAP
+
+from conftest import random_poset
 
 P3 = {"kind": "poset", "elements": ["a", "b", "c"], "edges": [["a", "b"]]}
 K22 = {"kind": "bigraph", "left": ["l1", "l2"], "right": ["r1", "r2"],
@@ -398,3 +402,24 @@ def test_commands_are_byte_identical_across_runs(tmp_path, capsys):
         run_command([command, inst, *extra])
         second = capsys.readouterr().out
         assert first == second and first.endswith("\n")
+
+
+def test_poset_certificates_do_not_depend_on_the_oracle_cap(tmp_path, capsys):
+    # the cap only decides whether a search may run, never which answer comes
+    # back: every run that succeeds prints the same bytes
+    rng = random.Random(4)
+    commands = [row.command for row in formats.CERTIFICATE_KINDS.values() if row.instance == formats.POSET]
+    assert "antichain-cover" in commands
+    for _ in range(200):
+        P = random_poset(rng, rng.randint(4, 18))
+        edges = [[x, y] for x, y in sorted(P.relation) if x != y]
+        inst = write(tmp_path, "inst.json", {"kind": "poset", "elements": list(P.elements), "edges": edges})
+        for command in commands:
+            outputs = set()
+            for cap in ("0", str(DEFAULT_ORACLE_CAP), "64"):
+                code = run_command(["--oracle-cap", cap, command, inst])
+                out = capsys.readouterr().out
+                assert code in (0, 2)
+                if code == 0:
+                    outputs.add(out)
+            assert len(outputs) == 1, (command, P)

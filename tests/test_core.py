@@ -65,6 +65,15 @@ def test_build_validation_errors():
         build_poset([None], ())
 
 
+@pytest.mark.parametrize("endpoint", [["a"], True, 1.0])
+def test_build_checks_edge_endpoints_as_ids(endpoint):
+    # an endpoint must pass the carrier's id check: no list, bool or float
+    with pytest.raises(ValidationError):
+        build_poset([1, 2, "a"], [(endpoint, 2)])
+    with pytest.raises(ValidationError):
+        build_poset([1, 2, "a"], [(2, endpoint)])
+
+
 def test_build_transitive_closure():
     P = build_poset("abc", {("a", "b"), ("b", "c")})
     assert P.le("a", "c")

@@ -27,7 +27,7 @@ from posetkit import (
 from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
-from conftest import random_poset
+from conftest import random_poset, sparse_corpus, sparse_poset
 
 
 def assert_certifies(P, cert):
@@ -121,10 +121,18 @@ def test_disjointify_rejects_non_cover(p3):
         disjointify_cover(p3, (frozenset({"a", "b"}),))
 
 
-def test_disjointify_trusted_mode_detects_emptied_chain(p3):
-    cover = canonical_cover([{"a"}, {"b"}, {"c"}, {"a", "b"}])
+def test_disjointify_keeps_a_disjoint_cover_that_is_not_smallest(p3):
+    # three singletons on a width-2 poset: nothing to take apart, nothing emptied
+    cover = canonical_cover([{"a"}, {"b"}, {"c"}])
+    assert disjointify_cover(p3, cover) == cover
+
+
+def test_disjointify_rejects_non_cover_above_the_oracle_cap():
+    # 25 elements: the check that the input is a chain cover runs at any size
+    P = build_poset(range(25), [(i, i + 1) for i in range(0, 24, 2)])
+    cover = canonical_cover([{i, i + 1} for i in range(0, 22, 2)] + [{24}])
     with pytest.raises(NotASmallestCover):
-        disjointify_cover(p3, cover, check_minimality=False)
+        disjointify_cover(P, cover)
 
 
 def test_disjointify_total_order():
@@ -168,13 +176,6 @@ def test_check_dilworth(p3, posets_upto_4):
 
 
 # --- the width from Fulkerson's matching ---------------------------------------
-
-
-@pytest.fixture(scope="module")
-def seeded_posets(posets_upto_4, posets_n5):
-    rng = random.Random(2)
-    return posets_upto_4 + posets_n5 + [random_poset(rng, rng.randint(1, 16))
-                                        for _ in range(1000)]
 
 
 def test_matching_width_equals_oracle_width(seeded_posets):
@@ -404,12 +405,6 @@ def _grid(rows, cols):
                        + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
 
 
-def _sparse_poset(rng, n, p):
-    names = [f"v{i}" for i in range(n)]
-    return build_poset(names, [(names[i], names[j]) for i in range(n)
-                               for j in range(i + 1, n) if rng.random() < p])
-
-
 # sha256 of the certificates the generator-driven Perles recursion over
 # restricted FinitePosets wrote for the corpus below; the mask recursion must
 # reproduce them byte for byte.
@@ -421,7 +416,7 @@ def test_chain_cover_certificates_are_byte_identical():
     corpus = [(random_poset(rng, rng.randint(5, 20)), 20) for _ in range(280)]
     corpus += [(_standard_example(k), 20) for k in range(1, 11)]
     corpus += [(_grid(r, c), 20) for r in range(1, 5) for c in range(r, 6) if r * c <= 20]
-    corpus += [(_sparse_poset(rng, rng.randint(28, 36), rng.choice((0.05, 0.1))), 48)
+    corpus += [(sparse_poset(rng, rng.randint(28, 36), rng.choice((0.05, 0.1))), 48)
                for _ in range(10)]
     digest = hashlib.sha256()
     for P, cap in corpus:
@@ -431,20 +426,15 @@ def test_chain_cover_certificates_are_byte_identical():
     assert digest.hexdigest() == CERTIFICATES_SHA256
 
 
-# sha256 of the chain-cover certificates of the sparse corpus below, written
+# sha256 of the chain-cover certificates of ``sparse_corpus()``, written
 # before case-1 halves reused their parent's search; that reuse fires most on
 # sparse posets, which the corpus above holds only ten of.
 SPARSE_CERTIFICATES_SHA256 = "e66a162f9a99ee2f75823fc10ea1756eee6cfd686f11cd3ae30918679d372b81"
 
 
-def _sparse_corpus():
-    rng = random.Random(6)
-    return [(_sparse_poset(rng, rng.randint(28, 44), rng.choice((0.05, 0.1))), 48) for _ in range(60)]
-
-
 def test_sparse_chain_cover_certificates_are_byte_identical():
     digest = hashlib.sha256()
-    for P, cap in _sparse_corpus():
+    for P, cap in sparse_corpus():
         cert = perles_chain_cover(P, cap)
         digest.update(formats.canonical_json(formats.chain_cover_certificate(cert)).encode())
     assert digest.hexdigest() == SPARSE_CERTIFICATES_SHA256
@@ -458,7 +448,7 @@ LARGE_SPARSE_CERTIFICATES_SHA256 = "6a0b8796338c12c73c95f9f86f4e08696a77050be4df
 
 def _large_sparse_corpus():
     rng = random.Random(9)
-    return [(_sparse_poset(rng, rng.randint(50, 80), rng.choice((0.05, 0.1))), 96) for _ in range(12)]
+    return [(sparse_poset(rng, rng.randint(50, 80), rng.choice((0.05, 0.1))), 96) for _ in range(12)]
 
 
 def test_large_sparse_chain_cover_certificates_are_byte_identical():
@@ -499,7 +489,7 @@ def test_prune_is_picked_by_width(monkeypatch, lengths, matched, lays_out):
 def perles_corpus(seeded_posets):
     """Every poset with n <= 5, the 1,000 seeded ones and the sparse digest
     corpora, each with the cap it is solved under."""
-    return [(P, 20) for P in seeded_posets] + _sparse_corpus() + _large_sparse_corpus()
+    return [(P, 20) for P in seeded_posets] + sparse_corpus() + _large_sparse_corpus()
 
 
 def test_perles_cover_is_a_partition(perles_corpus):

@@ -50,6 +50,15 @@ def test_build_bigraph_validation():
         build_bigraph([True], ["r"], [])
 
 
+@pytest.mark.parametrize("endpoint", [["a"], True, 1.0])
+def test_build_bigraph_checks_edge_endpoints_as_ids(endpoint):
+    # an endpoint must pass the parts' id check: no list, bool or float
+    with pytest.raises(ValidationError):
+        build_bigraph([1], [2], [(endpoint, 2)])
+    with pytest.raises(ValidationError):
+        build_bigraph([1], [2], [(1, endpoint)])
+
+
 def test_neighborhood(k22, thin):
     assert neighborhood(thin, {"l1", "l2"}) == {"r1"}
     assert neighborhood(thin, set()) == frozenset()

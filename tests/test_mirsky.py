@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from posetkit import (
     build_poset,
     check_mirsky,
+    formats,
     height,
     is_antichain,
     is_chain,
@@ -19,7 +22,7 @@ from posetkit import (
 )
 from posetkit.errors import InstanceTooLarge
 
-from conftest import nonempty_subsets, ref_is_chain
+from conftest import nonempty_subsets, ref_is_chain, sparse_corpus
 
 
 def test_height_examples(p3, total3, antichain3):
@@ -64,15 +67,24 @@ def test_layer_structure(posets_upto_4):
         assert len(cert.chain_witness) == cert.height
 
 
-def test_chain_witness_reconstruction_above_cap():
-    # with the oracle out of reach the witness is rebuilt layer by layer
-    P = build_poset("abcde", {("a", "b"), ("b", "c"), ("a", "d"), ("d", "e")})
-    cert_small = mirsky_antichain_cover(P)
-    cert_walk = mirsky_antichain_cover(P, cap=3)
-    assert cert_walk.height == cert_small.height
-    assert cert_walk.layers == cert_small.layers
-    assert is_chain(P, cert_walk.chain_witness)
-    assert len(cert_walk.chain_witness) == cert_walk.height
+def test_chain_witness_is_the_oracle_witness(seeded_posets):
+    # the greedy on the layer masks finds the lexicographically first longest
+    # chain at every size, below the oracle cap and above it
+    for P in seeded_posets + [P for P, _ in sparse_corpus()]:
+        assert mirsky_antichain_cover(P).chain_witness == max_chain(P, cap=len(P)).witness
+
+
+# sha256 of the antichain-cover certificates of ``sparse_corpus()``, written
+# when the chain witness still came from ``oracle.max_chain`` under a cap of 48.
+SPARSE_ANTICHAIN_COVER_SHA256 = "52f28336a7e582ff1e8e4178fd334e0150c7529d111ad96a8a688f537f3b1a3a"
+
+
+def test_sparse_antichain_cover_certificates_are_byte_identical():
+    digest = hashlib.sha256()
+    for P, _ in sparse_corpus():
+        cert = mirsky_antichain_cover(P)
+        digest.update(formats.canonical_json(formats.antichain_cover_certificate(cert)).encode())
+    assert digest.hexdigest() == SPARSE_ANTICHAIN_COVER_SHA256
 
 
 def test_layer_count_equality_exhaustive_n5(posets_n5):
