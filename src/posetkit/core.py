@@ -133,6 +133,12 @@ def _union(masks: Sequence[int], mask: int) -> int:
     return out
 
 
+def _extremal(masks: Sequence[int], cand: int, S: int) -> int:
+    """The bits i of ``cand`` with no bit of S in ``masks[i]``: over down
+    masks the elements of cand minimal in S, over up masks the maximal ones."""
+    return sum(1 << i for i in _indices(cand) if not masks[i] & S)
+
+
 def build_poset(
     elements: Iterable[ElementId],
     strict_edges: Iterable[tuple[ElementId, ElementId]],

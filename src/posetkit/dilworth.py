@@ -14,6 +14,13 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
+``width`` is the top frame alone: ``_top_frame`` computes the matching, the
+masks, m and the first size-m antichains for both it and
+``perles_chain_cover``, and the width's witness is the first of those
+antichains.  It never recurses, so a poset too deep for Perles' recursion (a
+1,000-element chain) still has its width.  The matching's n − m chains
+(``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
+
 A frame below the top with |S| <= m + 1 takes case 2 unsearched.  |S| = m
 makes S an antichain, equal to both extremal ones.  At |S| = m + 1 a size-m
 antichain S − {v} leaves v in every comparable pair, never strictly between
@@ -98,6 +105,7 @@ from .core import (
     ChainCover,
     ElementId,
     FinitePoset,
+    _extremal,
     _ids,
     _indices,
     _union,
@@ -131,8 +139,11 @@ class DilworthReport:
 
 
 def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
-    """Size (and witness) of a largest antichain."""
-    return oracle.max_antichain(P, cap)
+    """Size (and witness) of a largest antichain: the first antichain of
+    Perles' top frame, which is the lexicographically first."""
+    oracle._require_cap(len(P), cap, "width")
+    _, m, found = _top_frame(P)
+    return SizedWitness(_ids(P, found[0]), m)
 
 
 def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> DilworthCertificate:
@@ -140,19 +151,13 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
-    matching = _max_matching(P.up)
-    m = len(P) - len(matching)
-    comp = [u | d for u, d in zip(P.up, P.down)]
-    space = None
-    if m >= PRUNE_MIN_WIDTH:
-        space = _chain_space(_chains(matching, len(P)), comp)
-    order = (P.up, P.down, comp, space)
+    order, m, found = _top_frame(P)
     full = (1 << len(P)) - 1
-    found = _antichains(order, full, m)
     cover = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
                     m, found, len(found) < 3)
     # One check, on masks: an antichain of m, and m chains that partition P
     # (chains sharing a bit would carry in their sum and lose bits).
+    _, _, comp, _ = order
     witness = found[0]
     assert len(cover) == m == witness.bit_count()
     assert not any(comp[i] & witness for i in _indices(witness))
@@ -169,6 +174,19 @@ _ChainSpace = tuple[list[int], list[int], int, int]
 # Perles' per-call masks: the strict up and down masks, their union, and the
 # chain space of the matching's chains (None below width PRUNE_MIN_WIDTH).
 _Order = tuple[tuple[int, ...], tuple[int, ...], list[int], "_ChainSpace | None"]
+
+
+def _top_frame(P: FinitePoset) -> tuple[_Order, int, list[int]]:
+    """Perles' masks for P, its width m by Fulkerson's matching, and the
+    first three size-m antichains of P in search order."""
+    matching = _max_matching(P.up)
+    m = len(P) - len(matching)
+    comp = [u | d for u, d in zip(P.up, P.down)]
+    space = None
+    if m >= PRUNE_MIN_WIDTH:
+        space = _chain_space(_chains(matching, len(P)), comp)
+    order = (P.up, P.down, comp, space)
+    return order, m, _antichains(order, (1 << len(P)) - 1, m)
 
 
 def _max_matching(adj: Sequence[int]) -> dict[int, int]:
@@ -204,6 +222,12 @@ def _chains(matching: dict[int, int], n: int) -> list[list[int]]:
             chain.append(matching[chain[-1]])
         out.append(chain)
     return out
+
+
+def _kuhn_chains(P: FinitePoset) -> list[frozenset[ElementId]]:
+    """The chains of Kuhn's maximum matching on P, as id sets: a chain cover
+    of P with as many chains as P is wide."""
+    return [frozenset(P.elements[i] for i in chain) for chain in _chains(_max_matching(P.up), len(P))]
 
 
 def _chain_space(chains: list[list[int]], comp: list[int]) -> _ChainSpace:
@@ -245,12 +269,6 @@ def _pruned_antichain_masks(comp: list[int], space: _ChainSpace, cand: int, k: i
     if k > 0:
         search(0, 0, cand, _union(place, cand))
     return found
-
-
-def _extremal(masks: Sequence[int], cand: int, S: int) -> int:
-    """The bits i of ``cand`` with no bit of S in ``masks[i]``: over down
-    masks the elements of cand minimal in S, over up masks the maximal ones."""
-    return sum(1 << i for i in _indices(cand) if not masks[i] & S)
 
 
 def _antichains(order: _Order, S: int, k: int) -> list[int]:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import oracle
 from .core import ElementId, FinitePoset, build_poset, member_key
-from .dilworth import perles_chain_cover
+from .dilworth import perles_chain_cover, width
 from .errors import (
     DuplicateValue,
     EmptyInput,
@@ -95,7 +94,7 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
         raise WrongCardinality("r and s must be non-negative")
     if len(P) != r * s + 1:
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
-    widest = oracle.max_antichain(P, cap)
+    widest = width(P, cap)
     if widest.size >= s + 1:
         return PosetWitness(ANTICHAIN, widest.witness)
     cert = perles_chain_cover(P, cap)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
-from . import oracle
 from .core import (
     ElementId,
     FinitePoset,
@@ -27,7 +26,7 @@ from .core import (
     verify_antichain_cover,
     verify_chain_cover,
 )
-from .dilworth import DilworthCertificate, DilworthReport, check_dilworth, perles_chain_cover, width
+from .dilworth import DilworthCertificate, DilworthReport, _kuhn_chains, check_dilworth, perles_chain_cover, width
 from .erdos_szekeres import (
     DECREASING,
     INCREASING,
@@ -113,15 +112,14 @@ def _id_set(value: Any, where: str) -> frozenset[ElementId]:
     return frozenset(ids)
 
 
-def _pair_list(value: Any, where: str) -> list[tuple[ElementId, ElementId]]:
+def _pair_list(value: Any, where: str) -> list[list[Any]]:
+    """A list of [from, to] pairs, their ids not yet checked."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list of pairs")
-    pairs = []
     for i, entry in enumerate(value):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValidationError(f"{where}[{i}]: expected a [from, to] pair")
-        pairs.append((_id_entry(entry[0], f"{where}[{i}]"), _id_entry(entry[1], f"{where}[{i}]")))
-    return pairs
+    return value
 
 
 def _int(value: Any, where: str) -> int:
@@ -140,7 +138,8 @@ def _field(body: dict[str, Any], name: str) -> Any:
 
 def parse_instance(data: bytes | str) -> Instance:
     """Parse and validate an instance file; diagnostics name the first
-    violated invariant."""
+    violated invariant.  Poset and bigraph ids are checked by their builders,
+    so only the JSON shape is checked here."""
     body = _load_json(data)
     if not isinstance(body, dict):
         raise ValidationError("instance must be a JSON object")
@@ -149,7 +148,7 @@ def parse_instance(data: bytes | str) -> Instance:
         raise ValidationError(f"unknown instance kind {kind!r}")
 
     if kind == POSET:
-        elements = _id_list(_field(body, "elements"), "elements")
+        elements = _list(_field(body, "elements"), "elements")
         edges = _pair_list(_field(body, "edges"), "edges")
         try:
             return Instance(POSET, build_poset(elements, edges))
@@ -159,8 +158,8 @@ def parse_instance(data: bytes | str) -> Instance:
             raise ValidationError(str(e)) from None
 
     if kind == BIGRAPH:
-        left = _id_list(_field(body, "left"), "left")
-        right = _id_list(_field(body, "right"), "right")
+        left = _list(_field(body, "left"), "left")
+        right = _list(_field(body, "right"), "right")
         edges = _pair_list(_field(body, "edges"), "edges")
         return Instance(BIGRAPH, build_bigraph(left, right, edges))
 
@@ -209,6 +208,10 @@ def _violation_out(v: Violation) -> dict[str, Any]:
 
 
 def size_certificate(kind: str, found: SizedWitness) -> dict[str, Any]:
+    """A width or height certificate.  ``meta.algorithm`` names what the
+    witness is, the lexicographically first largest set that an exhaustive
+    search returns, not how it was found: the tests pin it equal to the
+    oracle's."""
     return {
         "kind": kind,
         "size": found.size,
@@ -308,18 +311,23 @@ def parse_certificate(data: bytes | str) -> dict[str, Any]:
 def _verify_size(
     P: FinitePoset,
     cert: dict[str, Any],
-    oracle_cap: int,
     kind: str,
     predicate: Callable[[FinitePoset, frozenset[ElementId]], bool],
-    search: Callable[[FinitePoset, int], SizedWitness],
+    check: Callable[[FinitePoset, Sequence[frozenset[ElementId]]], bool],
+    dual: Sequence[frozenset[ElementId]],
 ) -> tuple[bool, str]:
+    """The witness shows the poset's ``kind`` is at least ``size``; the cover
+    ``dual``, once ``check`` passes it, shows it is at most its own size.  A
+    dual that fails its check proves nothing, so the claim is then invalid."""
     witness = _id_set(_field(cert, "witness"), "witness")
     size = _int(_field(cert, "size"), "size")
     if not predicate(P, witness):
         return False, f"witness is not a valid {kind} witness"
     if len(witness) != size:
         return False, "claimed size does not match the witness"
-    if search(P, oracle_cap).size != size:
+    if not check(P, dual):
+        return False, f"the {kind} dual failed its check"
+    if len(dual) != size:
         return False, f"poset {kind} differs from the claimed size"
     return True, "ok"
 
@@ -368,7 +376,8 @@ def _verify_matching(G: BipartiteGraph, cert: dict[str, Any], oracle_cap: int) -
         if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
             return False, "violation does not recheck"
         return True, "ok"
-    pairs = [(p[0], p[1]) for p in _pair_list(_field(cert, "pairs"), "pairs")]
+    pairs = [(_id_entry(a, f"pairs[{i}]"), _id_entry(b, f"pairs[{i}]"))
+             for i, (a, b) in enumerate(_pair_list(_field(cert, "pairs"), "pairs"))]
     if not verify_matching(G, pairs, require_L_perfect=True):
         return False, "pairs are not an L-perfect matching"
     return True, "ok"
@@ -458,11 +467,13 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
     "width": CertificateKind(
         "width", POSET, "largest antichain of a poset instance",
         lambda P, args: size_certificate("width", width(P, args.oracle_cap)),
-        lambda P, cert, cap: _verify_size(P, cert, cap, "width", is_antichain, oracle.max_antichain)),
+        lambda P, cert, cap: _verify_size(P, cert, "width", is_antichain,
+                                          verify_chain_cover, _kuhn_chains(P))),
     "height": CertificateKind(
         "height", POSET, "largest chain of a poset instance",
-        lambda P, args: size_certificate("height", height(P, args.oracle_cap)),
-        lambda P, cert, cap: _verify_size(P, cert, cap, "height", is_chain, oracle.max_chain)),
+        lambda P, args: size_certificate("height", height(P)),
+        lambda P, cert, cap: _verify_size(P, cert, "height", is_chain,
+                                          verify_antichain_cover, mirsky_antichain_cover(P).layers)),
     "chain-cover": CertificateKind(
         "chain-cover", POSET, "chain cover of size equal to the width, with witness",
         lambda P, args: chain_cover_certificate(perles_chain_cover(P, args.oracle_cap)),
@@ -510,7 +521,10 @@ def verify_certificate(
     """Re-check a certificate against its instance.
 
     Size pairs (a witness plus a cover of equal cardinality) are conclusive by
-    counting; bare width/height claims are re-derived through the oracle."""
+    counting.  A bare width or height claim is checked the same way against a
+    dual the verifier builds and passes through the public cover checkers:
+    Kuhn's n − |M| chains for the width, Mirsky's layers for the height.
+    Only the two report kinds, which rerun the oracle, read ``oracle_cap``."""
     kind = _field(cert, "kind")
     if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
         raise ValidationError(f"unknown certificate kind {kind!r}")

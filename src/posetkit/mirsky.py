@@ -1,6 +1,10 @@
 """Constructive antichain-cover solver: peel maximal layers L_0 (the maximal
 elements), ..., L_{h-1} until nothing is left.  The layer count equals the
 height, which the layers certify together with a chain that meets each once.
+The peel works on masks: with ``left`` the elements not yet peeled, the next
+layer is the bits i of left with no bit of left in up[i]: one bit test per
+element left, and no restricted poset is built.
+``height`` is this certificate's chain and its size.
 
 That chain is the lexicographically first longest chain, the set
 ``oracle.max_chain`` returns, found at every size by a greedy on the layer
@@ -23,17 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .core import (
-    AntichainCover,
-    ElementId,
-    FinitePoset,
-    _ids,
-    _indices,
-    _mask,
-    _union,
-    maximal_elements,
-    restrict,
-)
+from .core import AntichainCover, ElementId, FinitePoset, _extremal, _ids, _indices, _union
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
@@ -54,22 +48,23 @@ class MirskyReport:
     equal: bool
 
 
-def height(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
-    """Size (and witness) of a largest chain."""
-    return oracle.max_chain(P, cap)
+def height(P: FinitePoset) -> SizedWitness:
+    """Size (and witness) of a largest chain: the chain witness of the
+    maximal-layer peel, which is the lexicographically first."""
+    cert = mirsky_antichain_cover(P)
+    return SizedWitness(cert.chain_witness, cert.height)
 
 
 def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
     """Antichain cover of size height(P), as the sequence of maximal layers,
     with the lexicographically first longest chain as its witness; both are
     polynomial (see the module docstring)."""
-    layers: list[frozenset[ElementId]] = []
-    left = set(P.carrier)
+    layers: list[int] = []
+    left = (1 << len(P)) - 1
     while left:
-        layer = maximal_elements(restrict(P, left))
-        layers.append(layer)
-        left -= layer
-    bottom_up = [_mask(P, layer) for layer in reversed(layers)]
+        layers.append(_extremal(P.up, left, left))
+        left &= ~layers[-1]
+    bottom_up = layers[::-1]
 
     def through(A: int) -> bool:
         reach = bottom_up[0] & A
@@ -84,7 +79,7 @@ def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
             if through(trial):
                 chain, allowed = chain | 1 << i, trial
                 break
-    return MirskyCertificate(len(layers), _ids(P, chain), tuple(layers))
+    return MirskyCertificate(len(layers), _ids(P, chain), tuple(_ids(P, layer) for layer in layers))
 
 
 def check_mirsky(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> MirskyReport:

@@ -185,6 +185,19 @@ def seeded_posets(posets_upto_4, posets_n5):
                                         for _ in range(1000)]
 
 
+def standard_example(k):
+    """S_k: a_i < b_j exactly when i != j; width k, every maximum antichain extremal."""
+    return build_poset([f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)],
+                       [(f"a{i}", f"b{j}") for i in range(k) for j in range(k) if i != j])
+
+
+def grid(rows, cols):
+    """The product of a rows-chain and a cols-chain."""
+    return build_poset([(i * cols + j) for i in range(rows) for j in range(cols)],
+                       [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+                       + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
+
+
 def sparse_poset(rng: random.Random, n: int, p: float) -> FinitePoset:
     names = [f"v{i}" for i in range(n)]
     return build_poset(names, [(names[i], names[j]) for i in range(n)

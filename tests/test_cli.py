@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import os
 import random
@@ -12,12 +14,12 @@ from pathlib import Path
 import pytest
 
 import posetkit
-from posetkit import find_sdr, formats
+from posetkit import find_sdr, formats, oracle
 from posetkit.cli import run_command
 from posetkit.errors import ParseError, ValidationError
 from posetkit.oracle import DEFAULT_ORACLE_CAP
 
-from conftest import random_poset
+from conftest import grid, random_poset, sparse_poset, standard_example
 
 P3 = {"kind": "poset", "elements": ["a", "b", "c"], "edges": [["a", "b"]]}
 K22 = {"kind": "bigraph", "left": ["l1", "l2"], "right": ["r1", "r2"],
@@ -39,6 +41,21 @@ def run(tmp_path, capsys, *argv):
     code = run_command(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def _poset_payload(P):
+    return {"kind": "poset", "elements": list(P.elements),
+            "edges": [[x, y] for x in P.elements for y in P.elements if P.lt(x, y)]}
+
+
+def _es_instances(rng, count):
+    """``count`` random (m, n, values): m·n + 1 <= 20 distinct values."""
+    out = []
+    for _ in range(count):
+        m = rng.randint(0, 6)
+        n = rng.randint(0, 19 // max(m, 1))
+        out.append((m, n, rng.sample(range(-40, 40), m * n + 1)))
+    return out
 
 
 # --- parsing ------------------------------------------------------------------
@@ -76,6 +93,30 @@ def test_parse_rejects_invalid_instances():
         formats.parse_instance(json.dumps({"kind": "sequence", "values": [1, 1]}))
     with pytest.raises(ValidationError):  # duplicate member name
         formats.parse_instance('{"kind": "family", "members": {"S": ["x"], "S": ["y"]}}')
+
+
+BAD_IDS = [True, 1.5, None, ["a"]]
+ID_PLACES = {
+    "poset-element": lambda x: {"kind": "poset", "elements": ["a", x], "edges": []},
+    "poset-endpoint": lambda x: {"kind": "poset", "elements": ["a"], "edges": [["a", x]]},
+    "bigraph-left": lambda x: {"kind": "bigraph", "left": [x], "right": ["r"], "edges": []},
+    "bigraph-right": lambda x: {"kind": "bigraph", "left": ["l"], "right": [x], "edges": []},
+    "bigraph-endpoint": lambda x: {"kind": "bigraph", "left": ["l"], "right": ["r"], "edges": [[x, "r"]]},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+@pytest.mark.parametrize("place", list(ID_PLACES))
+def test_parse_rejects_non_id_elements_and_endpoints(tmp_path, capsys, place, bad):
+    # formats checks only the JSON shape; the builders check every id
+    payload = ID_PLACES[place](bad)
+    with pytest.raises(ValidationError):
+        formats.parse_instance(json.dumps(payload))
+    command = "width" if payload["kind"] == "poset" else "matching"
+    assert run_command([command, write(tmp_path, "bad.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # --- commands -----------------------------------------------------------------
@@ -201,6 +242,66 @@ def test_recursion_past_the_stack_limit_is_a_one_line_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _long(tmp_path, shape):
+    """A 1,000-element chain or antichain instance file."""
+    names = [f"e{i:04d}" for i in range(1000)]
+    edges = [list(pair) for pair in zip(names, names[1:])] if shape == "chain" else []
+    return write(tmp_path, f"{shape}.json", {"kind": "poset", "elements": names, "edges": edges})
+
+
+@pytest.mark.parametrize("shape", ["chain", "antichain"])
+@pytest.mark.parametrize("command", ["height", "antichain-cover"])
+def test_heights_of_long_inputs_need_no_cap(tmp_path, capsys, command, shape):
+    inst = _long(tmp_path, shape)
+    assert run_command([command, inst]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out)
+    code, out = run(tmp_path, capsys, "verify", inst, str(cert))
+    assert (code, out["valid"]) == (0, True)
+
+
+def test_width_of_a_long_chain_runs_the_top_frame_only(tmp_path, capsys):
+    # Perles' full recursion on this chain exceeds the stack (test above)
+    code, out = run(tmp_path, capsys, "--oracle-cap", "5000", "width", _long(tmp_path, "chain"))
+    assert code == 0 and out["size"] == 1 and out["witness"] == ["e0000"]
+
+
+def test_width_above_the_cap_verifies_at_the_default_cap(tmp_path, capsys):
+    P = sparse_poset(random.Random(5), 30, 0.05)
+    inst = write(tmp_path, "sparse.json", _poset_payload(P))
+    assert run_command(["--oracle-cap", "48", "width", inst]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["size"] > 2
+    path = write(tmp_path, "cert.json", cert)
+    code, out = run(tmp_path, capsys, "verify", inst, path)
+    assert (code, out) == (0, {"kind": "verification", "valid": True, "detail": "ok"})
+    # a smaller antichain, valid and with a matching size, is not the width
+    cert["witness"].pop()
+    cert["size"] -= 1
+    path = write(tmp_path, "cert.json", cert)
+    code, out = run(tmp_path, capsys, "verify", inst, path)
+    assert (code, out["valid"], out["detail"]) == (1, False, "poset width differs from the claimed size")
+
+
+def test_solvers_and_verify_do_not_call_the_oracle(monkeypatch, seeded_posets):
+    # the oracle is the reference that the check-* reports compare against,
+    # never a second path to an answer
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(oracle, "max_antichain", refuse)
+    monkeypatch.setattr(oracle, "max_chain", refuse)
+    capped = argparse.Namespace(oracle_cap=DEFAULT_ORACLE_CAP)
+    runs = [(P, formats.POSET, command, capped)
+            for P in seeded_posets for command in ("width", "height", "chain-cover", "antichain-cover")]
+    runs += [(posetkit.seq_from_list(values), formats.SEQUENCE, "subsequence",
+              argparse.Namespace(oracle_cap=DEFAULT_ORACLE_CAP, m=m, n=n))
+             for m, n, values in _es_instances(random.Random(7), 300)]
+    for data, kind, command, args in runs:
+        cert = formats.CERTIFICATE_KINDS[command].solve(data, args)
+        assert formats.verify_certificate(formats.Instance(kind, data), cert) == (True, "ok"), (command, data)
 
 
 def test_a_bad_argv_leaves_the_next_run_as_a_fresh_process_would(tmp_path, capsys):
@@ -423,3 +524,31 @@ def test_poset_certificates_do_not_depend_on_the_oracle_cap(tmp_path, capsys):
                 if code == 0:
                     outputs.add(out)
             assert len(outputs) == 1, (command, P)
+
+
+# sha256 of the exit code, stdout and stderr of every `width`, `height` and
+# `es` run below and of the `verify` run on its certificate, written while
+# both sizes still came from the exhaustive oracle.
+SIZE_AND_ES_SHA256 = "ea5f4d99902d7905f39b776d70ff94fab1a427d83d72bfc73a5a90148999fee1"
+
+
+def test_width_height_and_es_outputs_are_byte_identical(tmp_path, capsys):
+    rng = random.Random(11)
+    posets = [random_poset(rng, rng.randint(1, 20)) for _ in range(400)]
+    posets += [standard_example(k) for k in range(2, 11)]
+    posets += [grid(r, c) for r in range(1, 5) for c in range(r, 6) if r * c <= 20]
+    runs = [(command, _poset_payload(P), ()) for P in posets for command in ("width", "height")]
+    runs += [("es", {"kind": "sequence", "values": values}, ("-m", str(m), "-n", str(n)))
+             for m, n, values in _es_instances(rng, 300)]
+    digest = hashlib.sha256()
+    cert = tmp_path / "cert.json"
+    for command, payload, extra in runs:
+        inst = write(tmp_path, "inst.json", payload)
+        code = run_command([command, inst, *extra])
+        solved = capsys.readouterr()
+        cert.write_text(solved.out)
+        verdict = run_command(["verify", inst, str(cert)]), capsys.readouterr()
+        assert (code, verdict[0]) == (0, 0)
+        digest.update(repr((command, code, solved, verdict)).encode())
+    assert len(runs) == 1146
+    assert digest.hexdigest() == SIZE_AND_ES_SHA256

@@ -27,7 +27,7 @@ from posetkit import (
 from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
-from conftest import random_poset, sparse_corpus, sparse_poset
+from conftest import grid, random_poset, sparse_corpus, sparse_poset, standard_example
 
 
 def assert_certifies(P, cert):
@@ -392,19 +392,6 @@ def test_case1_halves_reuse_their_parents_search(monkeypatch, n, searches):
 # --- byte identity of the certificates ------------------------------------------
 
 
-def _standard_example(k):
-    """S_k: a_i < b_j exactly when i != j; width k, every maximum antichain extremal."""
-    return build_poset([f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)],
-                       [(f"a{i}", f"b{j}") for i in range(k) for j in range(k) if i != j])
-
-
-def _grid(rows, cols):
-    """The product of a rows-chain and a cols-chain."""
-    return build_poset([(i * cols + j) for i in range(rows) for j in range(cols)],
-                       [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
-                       + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
-
-
 # sha256 of the certificates the generator-driven Perles recursion over
 # restricted FinitePosets wrote for the corpus below; the mask recursion must
 # reproduce them byte for byte.
@@ -414,8 +401,8 @@ CERTIFICATES_SHA256 = "ae0e8b1416bc2da8571a54e8fd218f976b5b0603aaf84db4852eaea35
 def test_chain_cover_certificates_are_byte_identical():
     rng = random.Random(3)
     corpus = [(random_poset(rng, rng.randint(5, 20)), 20) for _ in range(280)]
-    corpus += [(_standard_example(k), 20) for k in range(1, 11)]
-    corpus += [(_grid(r, c), 20) for r in range(1, 5) for c in range(r, 6) if r * c <= 20]
+    corpus += [(standard_example(k), 20) for k in range(1, 11)]
+    corpus += [(grid(r, c), 20) for r in range(1, 5) for c in range(r, 6) if r * c <= 20]
     corpus += [(sparse_poset(rng, rng.randint(28, 36), rng.choice((0.05, 0.1))), 48)
                for _ in range(10)]
     digest = hashlib.sha256()
