@@ -63,7 +63,7 @@ def run_command(argv: list[str]) -> int:
         inst = formats.parse_instance(_read(args.instance))
         if args.command == "verify":
             cert = formats.parse_certificate(_read(args.certificate))
-            ok, detail = formats.verify_certificate(inst, cert, oracle_cap=args.oracle_cap)
+            ok, detail = formats.verify_certificate(inst, cert)
             out = {"kind": "verification", "valid": ok, "detail": detail}
             sys.stdout.write(formats.canonical_json(out))
             return 0 if ok else 1

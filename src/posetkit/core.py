@@ -23,7 +23,7 @@ from .errors import (
 
 ElementId = str | int
 
-# Chains and antichains in a cover, in canonical order.
+# The members of a cover, in canonical order except Mirsky's layers, which keep peel order.
 ChainCover = tuple[frozenset[ElementId], ...]
 AntichainCover = tuple[frozenset[ElementId], ...]
 

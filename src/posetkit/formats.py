@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .core import (
     ElementId,
     FinitePoset,
+    _ids,
     build_poset,
     id_key,
     is_antichain,
@@ -48,8 +49,8 @@ from .hall import (
     neighborhood,
     verify_matching,
 )
-from .mirsky import MirskyCertificate, MirskyReport, check_mirsky, height, mirsky_antichain_cover
-from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
+from .mirsky import MirskyCertificate, MirskyReport, _layers, check_mirsky, height, mirsky_antichain_cover
+from .oracle import SizedWitness
 
 POSET = "poset"
 BIGRAPH = "bigraph"
@@ -308,31 +309,31 @@ def parse_certificate(data: bytes | str) -> dict[str, Any]:
     return body
 
 
-def _verify_size(
-    P: FinitePoset,
-    cert: dict[str, Any],
-    kind: str,
-    predicate: Callable[[FinitePoset, frozenset[ElementId]], bool],
-    check: Callable[[FinitePoset, Sequence[frozenset[ElementId]]], bool],
-    dual: Sequence[frozenset[ElementId]],
-) -> tuple[bool, str]:
-    """The witness shows the poset's ``kind`` is at least ``size``; the cover
-    ``dual``, once ``check`` passes it, shows it is at most its own size.  A
-    dual that fails its check proves nothing, so the claim is then invalid."""
+def _dual_size(P: FinitePoset, kind: str) -> int | None:
+    """The poset's width or height by a cover built here (Kuhn's n − |M| chains,
+    Mirsky's layers), or None when its public checker fails it: it proves nothing."""
+    dual = _kuhn_chains(P) if kind == "width" else [_ids(P, layer) for layer in _layers(P)]
+    check = verify_chain_cover if kind == "width" else verify_antichain_cover
+    return len(dual) if check(P, dual) else None
+
+
+def _verify_size(P: FinitePoset, cert: dict[str, Any], kind: str,
+                 predicate: Callable[[FinitePoset, frozenset[ElementId]], bool]) -> tuple[bool, str]:
+    """The witness bounds the poset's ``kind`` from below, the dual from above."""
     witness = _id_set(_field(cert, "witness"), "witness")
     size = _int(_field(cert, "size"), "size")
     if not predicate(P, witness):
         return False, f"witness is not a valid {kind} witness"
     if len(witness) != size:
         return False, "claimed size does not match the witness"
-    if not check(P, dual):
+    if (dual := _dual_size(P, kind)) is None:
         return False, f"the {kind} dual failed its check"
-    if len(dual) != size:
+    if dual != size:
         return False, f"poset {kind} differs from the claimed size"
     return True, "ok"
 
 
-def _verify_chain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+def _verify_chain_cover(P: FinitePoset, cert: dict[str, Any]) -> tuple[bool, str]:
     w = _int(_field(cert, "width"), "width")
     antichain = _id_set(_field(cert, "antichain"), "antichain")
     cover = [_id_set(c, "cover") for c in _list(_field(cert, "cover"), "cover")]
@@ -345,7 +346,7 @@ def _verify_chain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: int) -
     return True, "ok"
 
 
-def _verify_antichain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+def _verify_antichain_cover(P: FinitePoset, cert: dict[str, Any]) -> tuple[bool, str]:
     h = _int(_field(cert, "height"), "height")
     chain = _id_set(_field(cert, "chain"), "chain")
     layers = [_id_set(c, "layers") for c in _list(_field(cert, "layers"), "layers")]
@@ -358,14 +359,17 @@ def _verify_antichain_cover(P: FinitePoset, cert: dict[str, Any], oracle_cap: in
     return True, "ok"
 
 
-def _verify_report(cert: dict[str, Any], expected: dict[str, Any]) -> tuple[bool, str]:
-    for key, value in expected.items():  # "kind" matches: it picked this check
+def _verify_report(P: FinitePoset, cert: dict[str, Any], kind: str) -> tuple[bool, str]:
+    """Valid exactly when the report gives both sizes as the dual's and calls them equal."""
+    if (dual := _dual_size(P, kind)) is None:
+        return False, f"the {kind} dual failed its check"
+    for key, value in {kind: dual, "cover_size": dual, "equal": True}.items():
         if cert.get(key) != value or type(cert.get(key)) is not type(value):
             return False, f"report field {key!r} does not match a recomputation"
     return True, "ok"
 
 
-def _verify_matching(G: BipartiteGraph, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str]:
     if "violation" in cert:
         v = cert["violation"]
         names = _id_list(_field(v, "set"), "violation.set")
@@ -383,7 +387,7 @@ def _verify_matching(G: BipartiteGraph, cert: dict[str, Any], oracle_cap: int) -
     return True, "ok"
 
 
-def _verify_sdr(family: SetFamily, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+def _verify_sdr(family: SetFamily, cert: dict[str, Any]) -> tuple[bool, str]:
     if "violation" in cert:
         v = cert["violation"]
         members = _id_list(_field(v, "set"), "violation.set")
@@ -412,7 +416,7 @@ def _verify_sdr(family: SetFamily, cert: dict[str, Any], oracle_cap: int) -> tup
     return True, "ok"
 
 
-def _verify_subsequence(parent: IntSeq, cert: dict[str, Any], oracle_cap: int) -> tuple[bool, str]:
+def _verify_subsequence(parent: IntSeq, cert: dict[str, Any]) -> tuple[bool, str]:
     direction = _field(cert, "direction")
     if direction not in (INCREASING, DECREASING):
         raise ValidationError(f"unknown direction {direction!r}")
@@ -451,15 +455,15 @@ class CertificateKind:
     ``command`` is the CLI subcommand that writes it and ``instance`` the
     instance kind both sides need.  ``solve(data, args)`` runs the solver on
     the instance data with the parsed CLI arguments and encodes the result;
-    ``verify(data, cert, oracle_cap)`` re-checks a parsed certificate and
-    returns (valid, detail).  Rows call solvers and encoders by their
-    module-level names, so a patched name is seen at call time."""
+    ``verify(data, cert)`` re-checks a parsed certificate in polynomial time,
+    with no cap, and returns (valid, detail).  Rows call solvers and encoders by
+    their module-level names, so a patched name is seen at call time."""
 
     command: str
     instance: str
     help: str
     solve: Callable[[Any, Any], dict[str, Any]]
-    verify: Callable[[Any, dict[str, Any], int], tuple[bool, str]]
+    verify: Callable[[Any, dict[str, Any]], tuple[bool, str]]
 
 
 # Keyed by certificate kind, in the order the CLI lists its subcommands.
@@ -467,13 +471,11 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
     "width": CertificateKind(
         "width", POSET, "largest antichain of a poset instance",
         lambda P, args: size_certificate("width", width(P, args.oracle_cap)),
-        lambda P, cert, cap: _verify_size(P, cert, "width", is_antichain,
-                                          verify_chain_cover, _kuhn_chains(P))),
+        lambda P, cert: _verify_size(P, cert, "width", is_antichain)),
     "height": CertificateKind(
         "height", POSET, "largest chain of a poset instance",
         lambda P, args: size_certificate("height", height(P)),
-        lambda P, cert, cap: _verify_size(P, cert, "height", is_chain,
-                                          verify_antichain_cover, mirsky_antichain_cover(P).layers)),
+        lambda P, cert: _verify_size(P, cert, "height", is_chain)),
     "chain-cover": CertificateKind(
         "chain-cover", POSET, "chain cover of size equal to the width, with witness",
         lambda P, args: chain_cover_certificate(perles_chain_cover(P, args.oracle_cap)),
@@ -485,11 +487,11 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
     "dilworth-report": CertificateKind(
         "check-dilworth", POSET, "report width vs. smallest-chain-cover size",
         lambda P, args: report_certificate(check_dilworth(P, args.oracle_cap)),
-        lambda P, cert, cap: _verify_report(cert, report_certificate(check_dilworth(P, cap)))),
+        lambda P, cert: _verify_report(P, cert, "width")),
     "mirsky-report": CertificateKind(
         "check-mirsky", POSET, "report height vs. smallest-antichain-cover size",
         lambda P, args: report_certificate(check_mirsky(P, args.oracle_cap)),
-        lambda P, cert, cap: _verify_report(cert, report_certificate(check_mirsky(P, cap)))),
+        lambda P, cert: _verify_report(P, cert, "height")),
     "matching": CertificateKind(
         "matching", BIGRAPH, "L-perfect matching of a bigraph instance, or a Hall violation",
         _solve_matching, _verify_matching),
@@ -512,21 +514,16 @@ def instance_data(inst: Instance, row: CertificateKind, what: str) -> Any:
     return inst.data
 
 
-def verify_certificate(
-    inst: Instance,
-    cert: dict[str, Any],
-    *,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> tuple[bool, str]:
+def verify_certificate(inst: Instance, cert: dict[str, Any]) -> tuple[bool, str]:
     """Re-check a certificate against its instance.
 
     Size pairs (a witness plus a cover of equal cardinality) are conclusive by
     counting.  A bare width or height claim is checked the same way against a
     dual the verifier builds and passes through the public cover checkers:
     Kuhn's n − |M| chains for the width, Mirsky's layers for the height.
-    Only the two report kinds, which rerun the oracle, read ``oracle_cap``."""
+    Reports are compared with those duals' sizes, in polynomial time, so no cap."""
     kind = _field(cert, "kind")
     if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
         raise ValidationError(f"unknown certificate kind {kind!r}")
     row = CERTIFICATE_KINDS[kind]
-    return row.verify(instance_data(inst, row, f"certificate kind {kind!r}"), cert, oracle_cap)
+    return row.verify(instance_data(inst, row, f"certificate kind {kind!r}"), cert)

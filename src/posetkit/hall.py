@@ -156,13 +156,14 @@ def find_L_perfect_matching(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> Matching | Violation:
     """A matching covering every left vertex, or the Hall violation that rules
-    one out; the subsets are enumerated only when Kuhn's maximum matching
-    misses a left vertex (Hall's theorem), to name the smallest violation.
+    one out; the subsets are enumerated, within ``subset_cap``, only when
+    Kuhn's maximum matching misses a left vertex (Hall's theorem), to name
+    the smallest violation.  ``oracle_cap`` bounds the chain cover's search.
 
     Construction: chain-cover the graph poset, which partitions it into |R|
     chains of at most two elements; the |L| two-element ones are the pairs."""
-    if len(G.left) > subset_cap or len(_max_matching(_neighbour_masks(G))) < len(G.left):
-        bad = hall_condition(G, subset_cap)  # above the cap: the --subset-cap error
+    if len(_max_matching(_neighbour_masks(G))) < len(G.left):
+        bad = hall_condition(G, subset_cap)
         assert bad is not None
         return bad
     cert = perles_chain_cover(graph_to_poset(G), oracle_cap)  # checks its cover

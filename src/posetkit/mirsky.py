@@ -55,15 +55,21 @@ def height(P: FinitePoset) -> SizedWitness:
     return SizedWitness(cert.chain_witness, cert.height)
 
 
-def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
-    """Antichain cover of size height(P), as the sequence of maximal layers,
-    with the lexicographically first longest chain as its witness; both are
-    polynomial (see the module docstring)."""
+def _layers(P: FinitePoset) -> list[int]:
+    """The maximal layers of P as masks, in peel order; there are height(P)."""
     layers: list[int] = []
     left = (1 << len(P)) - 1
     while left:
         layers.append(_extremal(P.up, left, left))
         left &= ~layers[-1]
+    return layers
+
+
+def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
+    """Antichain cover of size height(P), as the sequence of maximal layers,
+    with the lexicographically first longest chain as its witness; both are
+    polynomial (see the module docstring)."""
+    layers = _layers(P)
     bottom_up = layers[::-1]
 
     def through(A: int) -> bool:
@@ -84,6 +90,5 @@ def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
 
 def check_mirsky(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> MirskyReport:
     """Surface the height = smallest-antichain-cover-size equality."""
-    h = oracle.max_chain(P, cap)
-    cert = mirsky_antichain_cover(P)
-    return MirskyReport(h.size, len(cert.layers), h.size == len(cert.layers))
+    h, cover_size = oracle.max_chain(P, cap).size, len(_layers(P))
+    return MirskyReport(h, cover_size, h == cover_size)

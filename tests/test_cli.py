@@ -196,14 +196,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     inst = write(tmp_path, "p3.json", P3)
     assert run_command(["matching", inst]) == 2  # kind mismatch
     capsys.readouterr()
-    assert run_command(["width", inst, "--oracle-cap", "2"]) == 2
-    capsys.readouterr()
+    assert run_command(["--oracle-cap", "2", "width", inst]) == 2
+    assert "raise it with --oracle-cap" in capsys.readouterr().err
     seq = write(tmp_path, "seq.json", SEQ)
     assert run_command(["es", seq, "-m", "3", "-n", "3"]) == 2  # wrong cardinality
     capsys.readouterr()
-    graph = write(tmp_path, "k22.json", K22)
-    assert run_command(["matching", graph, "--subset-cap", "1"]) == 2
-    capsys.readouterr()
+    graph = write(tmp_path, "badgraph.json", BADGRAPH)
+    assert run_command(["--subset-cap", "1", "matching", graph]) == 2
+    assert "raise it with --subset-cap" in capsys.readouterr().err
     with pytest.raises(ValidationError):
         formats.parse_instance(json.dumps({"kind": "sequence", "values": [1.5]}))
 
@@ -268,21 +268,30 @@ def test_width_of_a_long_chain_runs_the_top_frame_only(tmp_path, capsys):
     assert code == 0 and out["size"] == 1 and out["witness"] == ["e0000"]
 
 
-def test_width_above_the_cap_verifies_at_the_default_cap(tmp_path, capsys):
+@pytest.mark.parametrize("command,size,wrong", [
+    ("width", "size", "poset width differs from the claimed size"),
+    ("check-dilworth", "width", "report field 'width' does not match a recomputation"),
+    ("check-mirsky", "height", "report field 'height' does not match a recomputation"),
+], ids=["width", "check-dilworth", "check-mirsky"])
+def test_certificates_above_the_cap_verify_at_the_default_cap(tmp_path, capsys, command, size, wrong):
     P = sparse_poset(random.Random(5), 30, 0.05)
     inst = write(tmp_path, "sparse.json", _poset_payload(P))
-    assert run_command(["--oracle-cap", "48", "width", inst]) == 0
+    assert run_command(["--oracle-cap", "48", command, inst]) == 0
     cert = json.loads(capsys.readouterr().out)
-    assert cert["size"] > 2
+    assert cert[size] > 2
     path = write(tmp_path, "cert.json", cert)
     code, out = run(tmp_path, capsys, "verify", inst, path)
     assert (code, out) == (0, {"kind": "verification", "valid": True, "detail": "ok"})
-    # a smaller antichain, valid and with a matching size, is not the width
-    cert["witness"].pop()
-    cert["size"] -= 1
+    # one less, consistent within the certificate (a smaller antichain, or a
+    # report whose two sizes agree), is not the poset's size
+    cert[size] -= 1
+    if command == "width":
+        cert["witness"].pop()
+    else:
+        cert["cover_size"] -= 1
     path = write(tmp_path, "cert.json", cert)
     code, out = run(tmp_path, capsys, "verify", inst, path)
-    assert (code, out["valid"], out["detail"]) == (1, False, "poset width differs from the claimed size")
+    assert (code, out["valid"], out["detail"]) == (1, False, wrong)
 
 
 def test_solvers_and_verify_do_not_call_the_oracle(monkeypatch, seeded_posets):
@@ -291,9 +300,12 @@ def test_solvers_and_verify_do_not_call_the_oracle(monkeypatch, seeded_posets):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called")
 
+    capped = argparse.Namespace(oracle_cap=DEFAULT_ORACLE_CAP)
+    # the reports are written by the oracle, then verified without it
+    reports = [(P, formats.CERTIFICATE_KINDS[kind].solve(P, capped))
+               for P in seeded_posets for kind in ("dilworth-report", "mirsky-report")]
     monkeypatch.setattr(oracle, "max_antichain", refuse)
     monkeypatch.setattr(oracle, "max_chain", refuse)
-    capped = argparse.Namespace(oracle_cap=DEFAULT_ORACLE_CAP)
     runs = [(P, formats.POSET, command, capped)
             for P in seeded_posets for command in ("width", "height", "chain-cover", "antichain-cover")]
     runs += [(posetkit.seq_from_list(values), formats.SEQUENCE, "subsequence",
@@ -302,6 +314,8 @@ def test_solvers_and_verify_do_not_call_the_oracle(monkeypatch, seeded_posets):
     for data, kind, command, args in runs:
         cert = formats.CERTIFICATE_KINDS[command].solve(data, args)
         assert formats.verify_certificate(formats.Instance(kind, data), cert) == (True, "ok"), (command, data)
+    for P, cert in reports:
+        assert formats.verify_certificate(formats.Instance(formats.POSET, P), cert) == (True, "ok"), (cert, P)
 
 
 def test_a_bad_argv_leaves_the_next_run_as_a_fresh_process_would(tmp_path, capsys):
@@ -401,6 +415,8 @@ def test_verify_rejects_wrong_claims(tmp_path, capsys):
     assert verdict({"kind": "antichain-cover", "height": 2, "chain": ["a", "b"],
                     "layers": [["b", "c"]]}) == (1, False)
     assert verdict({"kind": "dilworth-report", "width": 2, "cover_size": 3,
+                    "equal": False}) == (1, False)
+    assert verdict({"kind": "dilworth-report", "width": 2, "cover_size": 2,
                     "equal": False}) == (1, False)
 
 

@@ -252,10 +252,19 @@ def test_hall_condition_runs_only_without_an_L_perfect_matching(monkeypatch):
     assert sum(isinstance(r, Violation) for r in results) == len(calls) > 0
 
 
-def test_subset_cap_holds_when_a_matching_exists():
+def test_subset_cap_bounds_only_the_violation_search(thin):
+    # with a matching nothing is enumerated, so the cap cannot change the result
     G = build_bigraph(["l1", "l2"], ["r1", "r2"], [("l1", "r1"), ("l2", "r2")])
+    assert find_L_perfect_matching(G, subset_cap=1) == find_L_perfect_matching(G)
     with pytest.raises(InstanceTooLarge, match="--subset-cap"):
-        find_L_perfect_matching(G, subset_cap=1)
+        find_L_perfect_matching(thin, subset_cap=1)
+    rng = random.Random(16)
+    for G in (random_bigraph(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)):
+        if ref_matching_exists(G):
+            assert find_L_perfect_matching(G, subset_cap=0) == find_L_perfect_matching(G)
+        else:
+            with pytest.raises(InstanceTooLarge, match="--subset-cap"):
+                find_L_perfect_matching(G, subset_cap=0)
 
 
 # --- byte identity of the certificates ------------------------------------------
