@@ -72,7 +72,7 @@ def run_command(argv: list[str]) -> int:
         sys.stdout.write(formats.canonical_json(out))
         return 1 if "violation" in out else 0
     except (OSError, PosetKitError, RecursionError) as e:
-        # A recursive solver past Python's stack limit is a diagnostic too.
+        # JSON nested past the parser's stack limit is a diagnostic too.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

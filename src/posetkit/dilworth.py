@@ -4,8 +4,9 @@
 maximum antichain differs from both extremal antichains and the poset splits
 into the parts above and below it, or no such antichain exists and a single
 minimal-to-maximal two-element chain comes off.  Every split and every peel
-leaves a strictly smaller carrier, so the recursion is well founded; the
-peels of one frame run as a loop.
+leaves a strictly smaller carrier, so the recursion is well founded.  It runs
+as one loop over a stack of frames, each pushed with all its inputs, so the
+frames may run in any order and no poset is too deep for it.
 
 The width m comes once from Fulkerson's reduction (a maximum matching M on
 x⁻ → y⁺ for x < y leaves n − |M| chains) and is carried down: a case-1 half
@@ -17,8 +18,7 @@ witness is the lexicographically first maximum antichain, as the oracle finds.
 ``width`` is the top frame alone: ``_top_frame`` computes the matching, the
 masks, m and the first size-m antichains for both it and
 ``perles_chain_cover``, and the width's witness is the first of those
-antichains.  It never recurses, so a poset too deep for Perles' recursion (a
-1,000-element chain) still has its width.  The matching's n − m chains
+antichains: the width needs nothing more.  The matching's n − m chains
 (``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
 
 A frame below the top with |S| <= m + 1 takes case 2 unsearched.  |S| = m
@@ -27,18 +27,15 @@ antichain S − {v} leaves v in every comparable pair, never strictly between
 two elements (their pair would miss v), so S − {v} is the minimal or the
 maximal elements; so are S − {a} and S − {b} for a single pair a < b.
 
-Such a frame also finishes in one pass.  At |S| = m it peels singletons.  At
-|S| = m + 1 its comparable pairs pairwise meet (two disjoint pairs, or a
+Such a frame also finishes at once.  At |S| = m its peels take singletons.
+At |S| = m + 1 its comparable pairs pairwise meet (two disjoint pairs, or a
 three-element chain, would leave a cover of m − 1 chains) and some pair
 exists (S is no antichain), so they form a star with no three-element chain:
 an element with something above it is minimal and one above it is maximal.
 Let x be the lowest element that is not maximal.  The peels take the
 minimal elements of lower index than x, all isolated, as singletons, then x
 with the lowest y > x, and then, the rest being an antichain of the
-remaining width, singletons: {x, y} and singletons.  Peeling these chains one
-at a time through the loop gives the same cover but made Perles 15–45 %
-slower on the posets of each perfbench workload (three runs, each the best
-of nine in-process rounds; 2-vCPU Xeon, CPython 3.11).
+remaining width, singletons.  So the frame leaves one pair, x < y.
 
 A case-1 half reuses its parent's search.  The half H lies inside the parent
 and holds the chosen antichain, so its size-m antichains are exactly the
@@ -58,11 +55,15 @@ maximal ones (whatever lies above an element of the half is in it); the half
 below mirrors this.  After a peel of x and y only the bits of up[x] & S can
 have become minimal and only those of down[y] & S maximal.
 
-The cover is a partition of P.  The halves of a split cover S (an element
-comparable to no element of the chosen antichain would extend it) and meet
-only in it (one above a and below b of it gives a < b); by induction each
-half's m chains partition it and meet the antichain once each, so joining
-them at its bits partitions S.  Peels and short frames leave disjoint chains.
+Every piece a frame leaves has at most two elements (a peel's x <= y, or a
+short frame's pair and singletons), so Perles records each pair x < y as a
+link y → x, and ``_chains`` reads the cover off the links, as it reads Kuhn's
+matching.  Every leaf carrier is convex (a case-1 half is up- or down-closed
+in its parent, a peel takes off a minimal and a maximal element), so each
+piece is an interval of its final chain.  The halves of a split cover S and
+meet only in the chosen antichain (an element comparable to none of it would
+extend it; one above a and below b of it gives a < b), where their chains
+meet, so consecutive elements of a final chain lie in one piece.
 ``perles_chain_cover`` checks the partition once, on masks.
 
 The search is pruned by the chains Fulkerson's matching already gives: each
@@ -157,8 +158,9 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     oracle._require_cap(len(P), cap, "perles_chain_cover")
     order, m, found = _top_frame(P)
     full = (1 << len(P)) - 1
-    cover = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
+    below = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
                     m, found, len(found) < 3)
+    cover = _chains(below, len(P))
     # One check, on masks: an antichain of m, and m chains that partition P
     # (chains sharing a bit would carry in their sum and lose bits).
     _, _, comp, _ = order
@@ -195,35 +197,41 @@ def _top_frame(P: FinitePoset) -> tuple[_Order, int, list[int]]:
 
 def _max_matching(adj: Sequence[int]) -> dict[int, int]:
     """A maximum matching of each x to a bit y of ``adj[x]``, as y -> x, by
-    Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺)."""
+    Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺), each
+    kept as a list of (x, y) steps, which no stack limit bounds."""
     owner: dict[int, int] = {}  # y -> the x matched to it
-    seen = 0
-
-    def augment(x: int) -> bool:
-        nonlocal seen
+    for root, nbrs in enumerate(adj):
+        y = (nbrs & -nbrs).bit_length() - 1
+        if y >= 0 and y not in owner:  # Kuhn's first step: the lowest neighbour, free
+            owner[y] = root
+            continue
+        seen, x = 0, root
+        path: list[tuple[int, int]] = []
         while free := adj[x] & ~seen:
             bit = free & -free
             seen |= bit
             y = bit.bit_length() - 1
-            if y not in owner or augment(owner[y]):
-                owner[y] = x
-                return True
-        return False
-
-    for x in range(len(adj)):
-        seen = 0
-        augment(x)
+            path.append((x, y))
+            if y not in owner:
+                for x, y in path:  # the path augments: each x takes its y
+                    owner[y] = x
+                break
+            x = owner[y]
+            while path and not adj[x] & ~seen:  # x is stuck: back up a step
+                x, _ = path.pop()
     return owner
 
 
-def _chains(matching: dict[int, int], n: int) -> list[list[int]]:
-    """The n − |M| chains of a matching on strict up-masks, as index lists
-    from the top down: x matched to y sits below y in y's chain."""
+def _chains(below: dict[int, int], n: int) -> list[int]:
+    """The chains that links y -> x (x just below y in its chain) make of n
+    elements, as masks, each walked down from an element no link points to:
+    Kuhn's matching and Perles' cover alike."""
     out = []
-    for top in sorted(set(range(n)) - set(matching.values())):
-        chain = [top]
-        while chain[-1] in matching:
-            chain.append(matching[chain[-1]])
+    for i in sorted(set(range(n)) - set(below.values())):
+        chain = 1 << i
+        while i in below:
+            i = below[i]
+            chain |= 1 << i
         out.append(chain)
     return out
 
@@ -231,16 +239,16 @@ def _chains(matching: dict[int, int], n: int) -> list[list[int]]:
 def _kuhn_chains(P: FinitePoset) -> list[frozenset[ElementId]]:
     """The chains of Kuhn's maximum matching on P, as id sets: a chain cover
     of P with as many chains as P is wide."""
-    return [frozenset(P.elements[i] for i in chain) for chain in _chains(_max_matching(P.up), len(P))]
+    return [_ids(P, chain) for chain in _chains(_max_matching(P.up), len(P))]
 
 
-def _chain_space(chains: list[list[int]], comp: list[int]) -> _ChainSpace:
+def _chain_space(chains: list[int], comp: list[int]) -> _ChainSpace:
     """The chains laid out as consecutive fields, each its chain's length
     plus one guard bit wide."""
     place = [0] * len(comp)
     at = high = 0
     for chain in chains:
-        for i in chain:
+        for i in _indices(chain):
             place[i] = 1 << at
             at += 1
         high |= 1 << at
@@ -254,24 +262,22 @@ def _pruned_antichain_masks(comp: list[int], space: _ChainSpace, cand: int, k: i
     whose candidates meet fewer than k − size of the chains of ``space``."""
     found: list[int] = []
     place, pcomp, low, high = space
-
-    def search(chosen: int, size: int, rest: int, restp: int) -> bool:
-        if size == k:
-            found.append(chosen)
-            return len(found) == limit
-        need = k - size
+    stack = [(0, k, cand, _union(place, cand))] if k > 0 else []  # restp: rest's image
+    while stack:
+        chosen, need, rest, restp = stack.pop()
         # rest shrinks, so once the bound fails it fails for every later turn
-        while ((restp + low) & high).bit_count() >= need:
+        while need > 1 and ((restp + low) & high).bit_count() >= need:
             bit = rest & -rest
-            rest ^= bit
             i = bit.bit_length() - 1
+            rest ^= bit
             restp ^= place[i]
-            if search(chosen | bit, size + 1, rest & ~comp[i], restp & ~pcomp[i]):
-                return True
-        return False
-
-    if k > 0:
-        search(0, 0, cand, _union(place, cand))
+            stack.append((chosen, need, rest, restp))  # the turns after this one
+            chosen, need, rest, restp = chosen | bit, need - 1, rest & ~comp[i], restp & ~pcomp[i]
+        while need == 1 and rest:  # each candidate left completes an antichain
+            found.append(chosen | rest & -rest)
+            rest &= rest - 1
+            if len(found) == limit:
+                return found
     return found
 
 
@@ -289,63 +295,55 @@ def _split(S: int, lo: int, hi: int, found: list[int]) -> int | None:
     return next((c for c in found if not c & ~S and c != lo and c != hi), None)
 
 
-def _short_frame(up: tuple[int, ...], S: int, hi: int, m: int) -> list[int]:
-    """The chains Perles' peels leave of a carrier S of width m, |S| <= m + 1,
-    and maximal elements ``hi``, in one pass (see the module docstring)."""
-    if S.bit_count() == m:
-        return [1 << i for i in _indices(S)]
-    x = S & ~hi  # the elements that are not maximal
-    x &= -x
-    pair = x | (y := up[x.bit_length() - 1] & S) & -y
-    return [pair] + [1 << i for i in _indices(S & ~pair)]
-
-
 def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
-            complete: bool) -> list[int]:
-    """m disjoint chain masks covering the carrier mask S, of width m, with
-    minimal elements ``lo`` and maximal elements ``hi``.  ``found`` is a
-    prefix, in search order, of the size-m antichains of a width-m carrier
-    that contains S; ``complete`` says it holds all of them."""
+            complete: bool) -> dict[int, int]:
+    """The links y -> x of m disjoint chains covering the carrier mask S, of
+    width m, with minimal elements ``lo`` and maximal elements ``hi``.
+    ``found`` is a prefix, in search order, of the size-m antichains of a
+    width-m carrier that contains S; ``complete`` says it holds all of them."""
     up, down, _, _ = order
-    peeled: list[int] = []
-    while True:
+    below: dict[int, int] = {}
+    stack = [(S, lo, hi, m, found, complete)]
+    while stack:
+        S, lo, hi, m, found, complete = stack.pop()
         chosen = _split(S, lo, hi, found)
         if chosen is None and S.bit_count() <= m + 1:
-            # Every maximum antichain is extremal (see the module docstring).
-            return _short_frame(up, S, hi, m) + peeled
+            # Every maximum antichain is extremal, and the peels leave at most
+            # one pair: the lowest non-maximal x below its lowest y (see the
+            # module docstring).
+            if S.bit_count() > m:
+                x = S & ~hi
+                x = (x & -x).bit_length() - 1
+                y = up[x] & S
+                below[(y & -y).bit_length() - 1] = x
+            continue
         if chosen is None and not complete:
             # At most two size-m antichains are extremal, so a third is not.
             found = _antichains(order, S, m)
             complete = len(found) < 3
             chosen = _split(S, lo, hi, found)
-        if chosen is not None:
-            break
-        # Case 2: every maximum antichain is an extremal one.  Peel one chain
-        # from the lowest minimal element x to the lowest maximal y >= x; the
-        # rest has width m - 1, so the prefix no longer applies.  It keeps at
-        # least m elements, as |S| >= m + 2 here, so it is not empty.
-        x = lo & -lo
-        y = (up[x.bit_length() - 1] | x) & hi
-        y &= -y
-        peeled.append(x | y)
-        S &= ~(x | y)
-        lo = lo & S | _extremal(down, up[x.bit_length() - 1] & S, S)
-        hi = hi & S | _extremal(up, down[y.bit_length() - 1] & S, S)
-        m -= 1
-        found, complete = [], False
-
-    # Case 1: split by the antichain into the part above it and the part below
-    # it; both halves hold it, so they have width m and its antichains.
-    above = _union(up, chosen) & S | chosen
-    below = _union(down, chosen) & S | chosen
-    assert above != S and below != S
-    upper = _perles(order, above, chosen, hi & above, m, found, complete)
-    lower = _perles(order, below, lo & below, chosen, m, found, complete)
-    # Join the halves at the antichain, which each chain meets exactly once.
-    leftover = {chain & chosen: chain for chain in upper}
-    joined = [leftover.pop(chain & chosen) | chain for chain in lower]
-    assert not leftover
-    return joined + peeled
+        if chosen is None:
+            # Case 2: every maximum antichain is an extremal one.  Peel one
+            # chain from the lowest minimal element x to the lowest maximal
+            # y >= x; the rest has width m - 1, so the prefix no longer
+            # applies.  It keeps at least m elements, as |S| >= m + 2 here.
+            x = (lo & -lo).bit_length() - 1
+            y = (up[x] | 1 << x) & hi
+            y = (y & -y).bit_length() - 1
+            if y != x:
+                below[y] = x
+            S &= ~(1 << x | 1 << y)
+            stack.append((S, lo & S | _extremal(down, up[x] & S, S),
+                          hi & S | _extremal(up, down[y] & S, S), m - 1, [], False))
+            continue
+        # Case 1: split by the antichain into the part above it and the part
+        # below it; both halves hold it, so they have width m and its antichains.
+        upper = _union(up, chosen) & S | chosen
+        lower = _union(down, chosen) & S | chosen
+        assert upper != S and lower != S
+        stack.append((upper, chosen, hi & upper, m, found, complete))
+        stack.append((lower, lo & lower, chosen, m, found, complete))
+    return below
 
 
 def disjointify_cover(P: FinitePoset, cover: ChainCover) -> ChainCover:

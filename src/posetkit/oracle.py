@@ -65,27 +65,19 @@ def _lex_first_max_compatible(n: int, conflict: list[int]) -> int:
     the lexicographically first of that size; pruning on the attainable size
     never discards a strictly larger subset.
     """
-    best: list[int] = []
-
-    def search(chosen: list[int], cand: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + cand.bit_count() <= len(best):
-            return
-        rest = cand
-        while rest:
+    best = most = 0
+    stack = [(0, 0, (1 << n) - 1)]  # (chosen, its size, the candidates left)
+    while stack:
+        chosen, size, rest = stack.pop()
+        # rest shrinks, so once a node cannot beat best, none of its later turns can
+        while size + rest.bit_count() > most:
             bit = rest & -rest
             rest ^= bit
-            if len(chosen) + 1 + rest.bit_count() <= len(best):
-                return
-            i = bit.bit_length() - 1
-            chosen.append(i)
-            search(chosen, rest & ~conflict[i])
-            chosen.pop()
-
-    search([], (1 << n) - 1)
-    return sum(1 << i for i in best)
+            stack.append((chosen, size, rest))  # the turns after this one
+            chosen, size, rest = chosen | bit, size + 1, rest & ~conflict[bit.bit_length() - 1]
+            if size > most:
+                best, most = chosen, size
+    return best
 
 
 def max_antichain(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
@@ -107,22 +99,19 @@ def _antichain_masks(comp: list[int], cand: int, k: int, limit: int | None) -> l
     the mask ``cand``, as masks, in lexicographic order of their sorted index
     sequences; bit j of ``comp[i]`` marks j comparable to i."""
     found: list[int] = []
-
-    def search(chosen: int, size: int, rest: int) -> bool:
-        if size == k:
-            found.append(chosen)
-            return len(found) == limit
-        count = rest.bit_count()  # of rest, which loses one bit a turn
-        while size + count >= k:
+    stack = [(0, k, cand)] if k > 0 else []  # (chosen, elements still needed, candidates)
+    while stack:
+        chosen, need, rest = stack.pop()
+        while need > 1 and rest.bit_count() >= need:
             bit = rest & -rest
             rest ^= bit
-            count -= 1
-            if search(chosen | bit, size + 1, rest & ~comp[bit.bit_length() - 1]):
-                return True
-        return False
-
-    if k > 0:
-        search(0, 0, cand)
+            stack.append((chosen, need, rest))  # the turns after this one
+            chosen, need, rest = chosen | bit, need - 1, rest & ~comp[bit.bit_length() - 1]
+        while need == 1 and rest:  # each candidate left completes an antichain
+            found.append(chosen | rest & -rest)
+            rest &= rest - 1
+            if len(found) == limit:
+                return found
     return found
 
 

@@ -208,6 +208,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
         formats.parse_instance(json.dumps({"kind": "sequence", "values": [1.5]}))
 
 
+def _long_augmenting_path():
+    """Left a0000..a0999 and a9999, right b0000..b1000, edges a_i-b_i and
+    a_i-b_{i+1}, and a9999-b0000: Kuhn's path from a9999 runs through every
+    a_i, 1,000 steps long."""
+    left = [f"a{i:04d}" for i in range(1000)] + ["a9999"]
+    right = [f"b{i:04d}" for i in range(1001)]
+    edges = [[f"a{i:04d}", f"b{i + d:04d}"] for i in range(1000) for d in (0, 1)]
+    return left, right, edges + [["a9999", "b0000"]]
+
+
 @pytest.mark.parametrize("command,payload,flag", [
     ("chain-cover", {"kind": "poset", "elements": [f"e{i}" for i in range(21)], "edges": []},
      "--oracle-cap"),
@@ -216,7 +226,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
                   "edges": [[f"l{i}", f"r{i}"] for i in range(10)]}, "--oracle-cap"),
     ("matching", {"kind": "bigraph", "left": [f"l{i}" for i in range(21)], "right": ["r"],
                   "edges": []}, "--subset-cap"),
-], ids=["chain-cover", "matching-poset", "matching-left-part"])
+    # Kuhn's 1,000-step augmenting path runs first, and meets no stack limit
+    ("matching", dict(zip(("left", "right", "edges"), _long_augmenting_path()), kind="bigraph"),
+     "--oracle-cap"),
+], ids=["chain-cover", "matching-poset", "matching-left-part", "matching-long-path"])
 def test_oversized_instance_names_the_flag_that_raises_the_cap(tmp_path, capsys, command, payload, flag):
     inst = write(tmp_path, "big.json", payload)
     assert run_command([command, inst]) == 2
@@ -234,11 +247,10 @@ def test_a_large_poset_leaves_stderr_empty(tmp_path):
 
 
 def test_recursion_past_the_stack_limit_is_a_one_line_error(tmp_path, capsys):
-    n = 1000
-    inst = write(tmp_path, "chain.json", {
-        "kind": "poset", "elements": [f"e{i:04d}" for i in range(n)],
-        "edges": [[f"e{i:04d}", f"e{i + 1:04d}"] for i in range(n - 1)]})
-    assert run_command(["--oracle-cap", "5000", "chain-cover", inst]) == 2
+    # JSON nested this deep makes json.loads raise RecursionError
+    inst = tmp_path / "deep.json"
+    inst.write_text("[" * 50_000 + "]" * 50_000)
+    assert run_command(["--oracle-cap", "5000", "chain-cover", str(inst)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -263,9 +275,44 @@ def test_heights_of_long_inputs_need_no_cap(tmp_path, capsys, command, shape):
 
 
 def test_width_of_a_long_chain_runs_the_top_frame_only(tmp_path, capsys):
-    # Perles' full recursion on this chain exceeds the stack (test above)
+    # the width is the top frame's matching and first antichain, nothing more
     code, out = run(tmp_path, capsys, "--oracle-cap", "5000", "width", _long(tmp_path, "chain"))
     assert code == 0 and out["size"] == 1 and out["witness"] == ["e0000"]
+
+
+@pytest.mark.parametrize("argv,shape", [
+    (["chain-cover"], "chain"),
+    (["check-dilworth"], "chain"),
+    (["check-mirsky"], "chain"),
+    (["width"], "antichain"),
+    (["chain-cover"], "antichain"),
+    (["check-dilworth"], "antichain"),
+    (["es", "-m", "1", "-n", "1000"], "decreasing"),
+], ids=["chain-cover-chain", "check-dilworth-chain", "check-mirsky-chain", "width-antichain",
+        "chain-cover-antichain", "check-dilworth-antichain", "es-decreasing"])
+def test_long_inputs_certify_with_the_cap_raised(tmp_path, capsys, argv, shape):
+    # 1,000 elements: Perles, Kuhn and the antichain searches keep their
+    # paths on explicit stacks, so none of them meets the recursion limit
+    if shape == "decreasing":
+        inst = write(tmp_path, "seq.json", {"kind": "sequence", "values": list(range(1000, -1, -1))})
+    else:
+        inst = _long(tmp_path, shape)
+    assert run_command(["--oracle-cap", "5000", argv[0], inst, *argv[1:]]) == 0
+    path = write(tmp_path, "cert.json", json.loads(capsys.readouterr().out))
+    code, out = run(tmp_path, capsys, "verify", inst, path)
+    assert (code, out) == (0, {"kind": "verification", "valid": True, "detail": "ok"})
+
+
+@pytest.mark.parametrize("cert", [
+    {"kind": "width", "size": 1, "witness": ["a0000"]},
+    {"kind": "dilworth-report", "width": 1, "cover_size": 1, "equal": True},
+], ids=["width", "dilworth-report"])
+def test_verify_walks_a_long_augmenting_path(tmp_path, capsys, cert):
+    # verify takes no cap; Kuhn's matching gives the width 1,001 here
+    left, right, edges = _long_augmenting_path()
+    inst = write(tmp_path, "poset.json", {"kind": "poset", "elements": left + right, "edges": edges})
+    code, out = run(tmp_path, capsys, "verify", inst, write(tmp_path, "cert.json", cert))
+    assert (code, out["valid"]) == (1, False)
 
 
 @pytest.mark.parametrize("command,size,wrong", [

@@ -24,6 +24,7 @@ from posetkit import (
     verify_chain_cover,
     width,
 )
+from posetkit.core import _ids, _indices
 from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
@@ -185,8 +186,8 @@ def test_matching_width_equals_oracle_width(seeded_posets):
         matching = _max_matching(P.up)
         chains = _chains(matching, len(P))
         assert len(P) - len(matching) == len(chains) == max_antichain(P).size
-        cover = [frozenset(P.elements[i] for i in chain) for chain in chains]
-        assert sorted(i for chain in chains for i in chain) == list(range(len(P)))
+        cover = [_ids(P, chain) for chain in chains]
+        assert sorted(i for chain in chains for i in _indices(chain)) == list(range(len(P)))
         assert verify_chain_cover(P, cover)
 
 
@@ -281,8 +282,9 @@ def _reference_peels(up, down, S):
 
 
 def test_short_frames_finish_in_one_pass(posets_upto_4, posets_n5):
-    """A carrier of width m with |S| <= m + 1 leaves, in one pass, the chains
-    its peels would leave one at a time."""
+    """A carrier of width m with |S| <= m + 1, as a Perles frame with no
+    antichains to split on, records one link at most, and that link and the
+    singletons left are the chains its peels would leave one at a time."""
     carriers = 0
     for P in posets_upto_4 + posets_n5:
         up, down = P.up, P.down
@@ -295,8 +297,12 @@ def test_short_frames_finish_in_one_pass(posets_upto_4, posets_n5):
             else:
                 continue
             carriers += 1
+            min_set = sum(1 << i for i in range(len(P)) if S >> i & 1 and not down[i] & S)
             max_set = sum(1 << i for i in range(len(P)) if S >> i & 1 and not up[i] & S)
-            chains = dilworth._short_frame(up, S, max_set, m)
+            below = dilworth._perles((up, down, comp, None), S, min_set, max_set, m, [], True)
+            assert len(below) == S.bit_count() - m
+            chains = [1 << y | 1 << x for y, x in below.items()]
+            chains += [1 << i for i in _indices(S & ~sum(chains))]
             assert len(chains) == m
             assert sorted(chains) == sorted(_reference_peels(up, down, S)), (P, bin(S))
     assert carriers == 103_909
@@ -315,7 +321,7 @@ def _check_pruned_search(P, carriers):
         k = S.bit_count()
         while not oracle._antichain_masks(comp, S, k, 1):
             k -= 1
-        wider += sum(any(S >> i & 1 for i in chain) for chain in chains) > k
+        wider += sum(bool(S & chain) for chain in chains) > k
         for limit in (3, None):
             assert (dilworth._pruned_antichain_masks(comp, space, S, k, limit)
                     == oracle._antichain_masks(comp, S, k, limit)), (P, bin(S), limit)
@@ -344,21 +350,28 @@ def test_perles_searches_no_small_carrier(monkeypatch, seeded_posets):
     slack: list[int] = []
     frames: list[bool] = []
     small = 0
-    search, perles = dilworth._antichains, dilworth._perles
+    search, split = dilworth._antichains, dilworth._split
 
     def counting_search(order, S, k):
         slack.append(S.bit_count() - k)
         return search(order, S, k)
 
-    def counting_perles(order, S, lo, hi, m, found, complete):
-        frames.append(S.bit_count() <= m + 1)
-        return perles(order, S, lo, hi, m, found, complete)
+    def counting_split(P):
+        # Each frame first asks for a split (a frame that searches asks once
+        # more, on a carrier the slack check shows is not small); its width
+        # m comes from Fulkerson's matching on the carrier.
+        def wrapped(S, lo, hi, found):
+            m = S.bit_count() - len(_max_matching([u & S if S >> i & 1 else 0
+                                                   for i, u in enumerate(P.up)]))
+            frames.append(S.bit_count() <= m + 1)
+            return split(S, lo, hi, found)
+        return wrapped
 
     monkeypatch.setattr(dilworth, "_antichains", counting_search)
-    monkeypatch.setattr(dilworth, "_perles", counting_perles)
     for P in seeded_posets:
         slack.clear()
         frames.clear()
+        monkeypatch.setattr(dilworth, "_split", counting_split(P))
         perles_chain_cover(P)
         assert all(s > 1 for s in slack[1:]), P  # slack[0] is the top frame's witness search
         small += sum(frames[1:])  # frames[0] is the top frame
