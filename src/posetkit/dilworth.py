@@ -18,7 +18,9 @@ witness is the lexicographically first maximum antichain, as the oracle finds.
 ``width`` is the top frame alone: ``_top_frame`` computes the matching, the
 masks, m and the first size-m antichains for both it and
 ``perles_chain_cover``, and the width's witness is the first of those
-antichains: the width needs nothing more.  The matching's n − m chains
+antichains: the width needs nothing more.  ``perles_chain_cover`` goes on
+from the top frame through ``_cover_from_top``, which ``pre_es`` calls with
+the frame its width came from.  The matching's n − m chains
 (``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
 
 A frame below the top with |S| <= m + 1 takes case 2 unsearched.  |S| = m
@@ -32,10 +34,10 @@ At |S| = m + 1 its comparable pairs pairwise meet (two disjoint pairs, or a
 three-element chain, would leave a cover of m − 1 chains) and some pair
 exists (S is no antichain), so they form a star with no three-element chain:
 an element with something above it is minimal and one above it is maximal.
-Let x be the lowest element that is not maximal.  The peels take the
-minimal elements of lower index than x, all isolated, as singletons, then x
-with the lowest y > x, and then, the rest being an antichain of the
-remaining width, singletons.  So the frame leaves one pair, x < y.
+Let x be the lowest element that is not maximal.  The minimal elements of
+lower index than x are isolated, so the frame has dropped them (below); the
+peels take x with the lowest y > x, and then, the rest being an antichain of
+the remaining width, singletons.  So the frame leaves one pair, x < y.
 
 A case-1 half reuses its parent's search.  The half H lies inside the parent
 and holds the chosen antichain, so its size-m antichains are exactly the
@@ -46,6 +48,23 @@ the parent's search found fewer than three, the prefix holds all of H's.  H
 searches only when the prefix has no non-extremal entry and was cut short.
 A peel lowers the width, so the prefix is dropped.
 
+A frame first drops iso = lo & hi, its elements comparable to nothing else
+in S.  Each lies in every maximum antichain of S (one without it would
+extend), so A ↦ A − iso maps the size-m antichains of S one to one onto the
+size-(m − |iso|) antichains of S − iso, and S − iso has width m − |iso|.
+Bits that every antichain holds never decide the search's lexicographic
+order, so the map keeps it, and with it the prefix and its completeness; A
+is lo or hi exactly when A − iso is lo − iso or hi − iso, the extremal
+masks of S − iso, so the frame splits on the same antichain, less iso.  Each
+isolated element ends as a singleton chain, as a peel of it (x = y, no
+link) would leave it, so the links and the certificates are those of the
+recursion without the strip; what goes is the search after each such peel,
+which could only find case 2.
+``_top_frame`` keeps its isolated elements: its search runs once per call,
+its first antichain is also ``width``'s witness, which holds them, and
+stripping there would cost two ``_extremal`` passes before it on every
+poset, which the small ones pay for and the large ones do not win back.
+
 Each frame carries the masks lo and hi of its carrier's minimal and maximal
 elements, so an antichain found is extremal exactly when it is lo or hi, and
 only the one a frame splits on has its up/down masks ORed.  The top frame
@@ -55,12 +74,13 @@ maximal ones (whatever lies above an element of the half is in it); the half
 below mirrors this.  After a peel of x and y only the bits of up[x] & S can
 have become minimal and only those of down[y] & S maximal.
 
-Every piece a frame leaves has at most two elements (a peel's x <= y, or a
-short frame's pair and singletons), so Perles records each pair x < y as a
-link y → x, and ``_chains`` reads the cover off the links, as it reads Kuhn's
-matching.  Every leaf carrier is convex (a case-1 half is up- or down-closed
-in its parent, a peel takes off a minimal and a maximal element), so each
-piece is an interval of its final chain.  The halves of a split cover S and
+Every piece a frame leaves has at most two elements (an isolated element, a
+peel's x < y, or a short frame's pair and singletons), so Perles records
+each pair x < y as a link y → x, and ``_chains`` reads the cover off the
+links, as it reads Kuhn's matching.  Every leaf carrier is convex (a case-1
+half is up- or down-closed in its parent, a peel takes off a minimal and a
+maximal element, the strip takes off elements that are both), so each piece
+is an interval of its final chain.  The halves of a split cover S and
 meet only in the chosen antichain (an element comparable to none of it would
 extend it; one above a and below b of it gives a < b), where their chains
 meet, so consecutive elements of a final chain lie in one piece.
@@ -156,7 +176,13 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
-    order, m, found = _top_frame(P)
+    return _cover_from_top(P, _top_frame(P))
+
+
+def _cover_from_top(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> DilworthCertificate:
+    """Perles' recursion from the top frame ``_top_frame(P)`` returned, so a
+    caller that already holds it runs no second matching or search."""
+    order, m, found = top
     full = (1 << len(P)) - 1
     below = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
                     m, found, len(found) < 3)
@@ -306,6 +332,14 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
     stack = [(S, lo, hi, m, found, complete)]
     while stack:
         S, lo, hi, m, found, complete = stack.pop()
+        # Isolated elements lie in every maximum antichain and end as
+        # singletons, so the frame goes on without them (module docstring).
+        if iso := lo & hi:
+            S ^= iso
+            lo ^= iso
+            hi ^= iso
+            m -= iso.bit_count()
+            found = [c & ~iso for c in found]
         chosen = _split(S, lo, hi, found)
         if chosen is None and S.bit_count() <= m + 1:
             # Every maximum antichain is extremal, and the peels leave at most
@@ -325,13 +359,13 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
         if chosen is None:
             # Case 2: every maximum antichain is an extremal one.  Peel one
             # chain from the lowest minimal element x to the lowest maximal
-            # y >= x; the rest has width m - 1, so the prefix no longer
-            # applies.  It keeps at least m elements, as |S| >= m + 2 here.
+            # y > x (x is not isolated); the rest has width m - 1, so the
+            # prefix no longer applies.  It keeps at least m elements, as
+            # |S| >= m + 2 here.
             x = (lo & -lo).bit_length() - 1
-            y = (up[x] | 1 << x) & hi
+            y = up[x] & hi
             y = (y & -y).bit_length() - 1
-            if y != x:
-                below[y] = x
+            below[y] = x
             S &= ~(1 << x | 1 << y)
             stack.append((S, lo & S | _extremal(down, up[x] & S, S),
                           hi & S | _extremal(up, down[y] & S, S), m - 1, [], False))
@@ -339,7 +373,7 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
         # Case 1: split by the antichain into the part above it and the part
         # below it; both halves hold it, so they have width m and its antichains.
         upper = _union(up, chosen) & S | chosen
-        lower = _union(down, chosen) & S | chosen
+        lower = S & ~upper | chosen  # the halves cover S and meet in chosen
         assert upper != S and lower != S
         stack.append((upper, chosen, hi & upper, m, found, complete))
         stack.append((lower, lo & lower, chosen, m, found, complete))

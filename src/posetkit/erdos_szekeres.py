@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementId, FinitePoset, build_poset, member_key
-from .dilworth import perles_chain_cover, width
+from .core import ElementId, FinitePoset, _ids, build_poset, member_key
+from .dilworth import _cover_from_top, _top_frame
 from .errors import (
     DuplicateValue,
     EmptyInput,
     ValidationError,
     WrongCardinality,
 )
-from .oracle import DEFAULT_ORACLE_CAP
+from .oracle import DEFAULT_ORACLE_CAP, _require_cap
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -94,10 +94,13 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
         raise WrongCardinality("r and s must be non-negative")
     if len(P) != r * s + 1:
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
-    widest = width(P, cap)
-    if widest.size >= s + 1:
-        return PosetWitness(ANTICHAIN, widest.witness)
-    cert = perles_chain_cover(P, cap)
+    # One top frame gives the width and, in the chain case, starts the cover.
+    _require_cap(len(P), cap, "width")
+    top = _top_frame(P)
+    _, m, found = top
+    if m >= s + 1:
+        return PosetWitness(ANTICHAIN, _ids(P, found[0]))
+    cert = _cover_from_top(P, top)
     longest = max(len(c) for c in cert.cover)
     chain = min((c for c in cert.cover if len(c) == longest), key=member_key)
     assert len(chain) >= r + 1

@@ -24,7 +24,7 @@ from posetkit import (
     verify_chain_cover,
     width,
 )
-from posetkit.core import _ids, _indices
+from posetkit.core import _extremal, _ids, _indices
 from posetkit.dilworth import _chains, _max_matching
 from posetkit.errors import InstanceTooLarge, NotASmallestCover
 
@@ -521,3 +521,48 @@ def test_frames_carry_their_extremal_masks(monkeypatch, perles_corpus):
         monkeypatch.setattr(dilworth, "_split", scanning(P))
         perles_chain_cover(P, cap)
     assert carriers > len(perles_corpus) and peeled > 0
+
+
+def test_perles_searches_no_carrier_with_an_isolated_element(monkeypatch, perles_corpus):
+    """A frame drops the elements comparable to nothing else in its carrier
+    before it searches, so below the top frame no carrier the antichain
+    search is handed holds one."""
+    carriers: list[int] = []
+    search = dilworth._antichains
+
+    def recording(order, S, k):
+        carriers.append(S)
+        return search(order, S, k)
+
+    monkeypatch.setattr(dilworth, "_antichains", recording)
+    searched = 0
+    for P, cap in perles_corpus:
+        carriers.clear()
+        perles_chain_cover(P, cap)
+        for S in carriers[1:]:  # carriers[0] is the top frame's witness search
+            assert all((P.up[i] | P.down[i]) & S for i in _indices(S)), (P, bin(S))
+        searched += len(carriers) - 1
+    assert searched > 0
+
+
+def test_a_frame_covers_its_isolated_elements_as_singletons(perles_corpus):
+    """``_perles`` on a carrier of T plus k isolated elements K, with a prefix
+    that holds K, returns exactly the links of T at width m − k, searched
+    afresh, and each element of K comes back as a singleton chain."""
+    frames = 0
+    for P, _ in perles_corpus:
+        full = (1 << len(P)) - 1
+        lo, hi = _extremal(P.down, full, full), _extremal(P.up, full, full)
+        K, T = lo & hi, full & ~(lo & hi)
+        if not K or not T:
+            continue
+        order, m, found = dilworth._top_frame(P)
+        assert all(c & K == K for c in found)  # every maximum antichain holds K
+        k = K.bit_count()
+        found_T = dilworth._antichains(order, T, m - k)
+        links_T = dilworth._perles(order, T, lo & T, hi & T, m - k, found_T, len(found_T) < 3)
+        links = dilworth._perles(order, full, lo, hi, m, found, len(found) < 3)
+        assert links == links_T, P
+        assert {1 << i for i in _indices(K)} <= set(_chains(links, len(P)))
+        frames += 1
+    assert frames > 100
