@@ -1,6 +1,6 @@
-"""Finite partial orders: validated construction, chain/antichain predicates,
-and the structural primitives (minimal/maximal sets, restriction) that the
-constructive decomposition algorithms consume.
+"""Finite partial orders: validated construction, chain/antichain predicates
+and the structural primitives (minimal/maximal sets, restriction); the
+decomposition solvers work on the masks, through the private helpers below.
 
 A poset holds its strict order as bitmasks over the id-sorted carrier, one
 ``up`` and one ``down`` mask per element, closed once by

@@ -23,21 +23,18 @@ from the top frame through ``_cover_from_top``, which ``pre_es`` calls with
 the frame its width came from.  The matching's n − m chains
 (``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
 
-A frame below the top with |S| <= m + 1 takes case 2 unsearched.  |S| = m
-makes S an antichain, equal to both extremal ones.  At |S| = m + 1 a size-m
-antichain S − {v} leaves v in every comparable pair, never strictly between
-two elements (their pair would miss v), so S − {v} is the minimal or the
-maximal elements; so are S − {a} and S − {b} for a single pair a < b.
-
-Such a frame also finishes at once.  At |S| = m its peels take singletons.
-At |S| = m + 1 its comparable pairs pairwise meet (two disjoint pairs, or a
-three-element chain, would leave a cover of m − 1 chains) and some pair
-exists (S is no antichain), so they form a star with no three-element chain:
-an element with something above it is minimal and one above it is maximal.
-Let x be the lowest element that is not maximal.  The minimal elements of
-lower index than x are isolated, so the frame has dropped them (below); the
-peels take x with the lowest y > x, and then, the rest being an antichain of
-the remaining width, singletons.  So the frame leaves one pair, x < y.
+A frame below the top with |S| <= m + 1 takes case 2 unsearched.  Once its
+isolated elements are dropped (below), such a carrier is empty or has
+|S| = m + 1, and a size-m antichain S − {v} leaves v in every comparable
+pair, never strictly between two elements (their pair would miss v), so
+S − {v} is the minimal or the maximal elements; so are S − {a} and S − {b}
+for a single pair a < b.  Its comparable pairs pairwise meet (two disjoint
+pairs, or a three-element chain, would leave a cover of m − 1 chains), so
+they form a star: an element with something above it is minimal, one above
+it maximal.  Its one peel, the lowest minimal x with the lowest maximal
+y > x, leaves m − 1 elements of width m − 1, an antichain of singletons, so
+the frame pushes nothing.  Only the top frame of an antichain strips to an
+empty carrier, which ends before a split is looked for.
 
 A case-1 half reuses its parent's search.  The half H lies inside the parent
 and holds the chosen antichain, so its size-m antichains are exactly the
@@ -75,7 +72,7 @@ below mirrors this.  After a peel of x and y only the bits of up[x] & S can
 have become minimal and only those of down[y] & S maximal.
 
 Every piece a frame leaves has at most two elements (an isolated element, a
-peel's x < y, or a short frame's pair and singletons), so Perles records
+peel's x < y, or an element its last peel leaves), so Perles records
 each pair x < y as a link y → x, and ``_chains`` reads the cover off the
 links, as it reads Kuhn's matching.  Every leaf carrier is convex (a case-1
 half is up- or down-closed in its parent, a peel takes off a minimal and a
@@ -223,14 +220,12 @@ def _top_frame(P: FinitePoset) -> tuple[_Order, int, list[int]]:
 
 def _max_matching(adj: Sequence[int]) -> dict[int, int]:
     """A maximum matching of each x to a bit y of ``adj[x]``, as y -> x, by
-    Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺), each
-    kept as a list of (x, y) steps, which no stack limit bounds."""
+    Kuhn's augmenting paths (on strict up-masks: Fulkerson's x⁻ → y⁺).  It
+    visits as the recursive textbook search does, roots in index order and
+    neighbours lowest first, but keeps each path as a list of (x, y) steps,
+    which no stack limit bounds."""
     owner: dict[int, int] = {}  # y -> the x matched to it
-    for root, nbrs in enumerate(adj):
-        y = (nbrs & -nbrs).bit_length() - 1
-        if y >= 0 and y not in owner:  # Kuhn's first step: the lowest neighbour, free
-            owner[y] = root
-            continue
+    for root in range(len(adj)):
         seen, x = 0, root
         path: list[tuple[int, int]] = []
         while free := adj[x] & ~seen:
@@ -340,19 +335,12 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
             hi ^= iso
             m -= iso.bit_count()
             found = [c & ~iso for c in found]
-        chosen = _split(S, lo, hi, found)
-        if chosen is None and S.bit_count() <= m + 1:
-            # Every maximum antichain is extremal, and the peels leave at most
-            # one pair: the lowest non-maximal x below its lowest y (see the
-            # module docstring).
-            if S.bit_count() > m:
-                x = S & ~hi
-                x = (x & -x).bit_length() - 1
-                y = up[x] & S
-                below[(y & -y).bit_length() - 1] = x
+        if not S:  # only the top frame of an antichain strips to nothing
             continue
-        if chosen is None and not complete:
-            # At most two size-m antichains are extremal, so a third is not.
+        chosen = _split(S, lo, hi, found)
+        if chosen is None and not complete and S.bit_count() > m + 1:
+            # At most two size-m antichains are extremal, so a third is not;
+            # at |S| = m + 1 every one is (module docstring).
             found = _antichains(order, S, m)
             complete = len(found) < 3
             chosen = _split(S, lo, hi, found)
@@ -360,15 +348,16 @@ def _perles(order: _Order, S: int, lo: int, hi: int, m: int, found: list[int],
             # Case 2: every maximum antichain is an extremal one.  Peel one
             # chain from the lowest minimal element x to the lowest maximal
             # y > x (x is not isolated); the rest has width m - 1, so the
-            # prefix no longer applies.  It keeps at least m elements, as
-            # |S| >= m + 2 here.
+            # prefix no longer applies.  At |S| = m + 1 the rest is an
+            # antichain of m - 1 singletons, and the frame ends.
             x = (lo & -lo).bit_length() - 1
             y = up[x] & hi
             y = (y & -y).bit_length() - 1
             below[y] = x
-            S &= ~(1 << x | 1 << y)
-            stack.append((S, lo & S | _extremal(down, up[x] & S, S),
-                          hi & S | _extremal(up, down[y] & S, S), m - 1, [], False))
+            if S.bit_count() > m + 1:
+                S &= ~(1 << x | 1 << y)
+                stack.append((S, lo & S | _extremal(down, up[x] & S, S),
+                              hi & S | _extremal(up, down[y] & S, S), m - 1, [], False))
             continue
         # Case 1: split by the antichain into the part above it and the part
         # below it; both halves hold it, so they have width m and its antichains.

@@ -191,6 +191,40 @@ def test_matching_width_equals_oracle_width(seeded_posets):
         assert verify_chain_cover(P, cover)
 
 
+def _textbook_kuhn(adj):
+    """Kuhn's method as it is usually written: each root in index order runs
+    a recursive search that tries its neighbours lowest first, taking a free
+    one or the one whose owner finds another; a left vertex is tried at most
+    once per root."""
+    owner = {}
+
+    def augment(x, used):
+        if x in used:
+            return False
+        used.add(x)
+        for y in _indices(adj[x]):
+            if y not in owner or augment(owner[y], used):
+                owner[y] = x
+                return True
+        return False
+
+    for root in range(len(adj)):
+        augment(root, set())
+    return owner
+
+
+def test_kuhn_matching_is_the_textbook_one(seeded_posets):
+    """The matching itself, not only its size, is pinned: the chains that
+    Perles' prune and the width's dual are read from depend on which one."""
+    rng = random.Random(15)
+    lists = []
+    for _ in range(3000):
+        n, right, p = rng.randint(0, 12), rng.randint(1, 12), rng.random()
+        lists.append([sum(1 << y for y in range(right) if rng.random() < p) for _ in range(n)])
+    for adj in lists + [P.up for P in seeded_posets]:
+        assert _max_matching(adj) == _textbook_kuhn(adj), adj
+
+
 def test_perles_witness_is_the_oracle_witness(seeded_posets):
     for P in seeded_posets:
         cert = perles_chain_cover(P)

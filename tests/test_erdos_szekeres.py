@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import random
 from itertools import permutations
 
 import pytest
@@ -13,12 +15,14 @@ from posetkit import (
     INCREASING,
     SubseqWitness,
     es_subsequence,
+    height,
     is_antichain,
     is_chain,
     pre_es,
     seq_from_list,
     seq_to_poset,
     verify_subseq,
+    width,
 )
 from posetkit.core import build_poset
 from posetkit.errors import (
@@ -166,3 +170,38 @@ def test_tightness_of_the_cardinality_precondition():
     probe = [2, 1, 4, 3]
     assert not ref_monotone_subseq_exists(probe, 3, increasing=True)
     assert not ref_monotone_subseq_exists(probe, 3, increasing=False)
+
+
+def patience_length(items):
+    """Longest increasing subsequence by patience sorting: ``tops[k]`` is the
+    least last value of an increasing run of k + 1 values so far."""
+    tops: list[int] = []
+    for v in items:
+        i = bisect.bisect_left(tops, v)
+        tops[i:i + 1] = [v]
+    return len(tops)
+
+
+def _assert_monotone_witness(s, witness, size, increasing):
+    run = [v for v in s.items if v in witness]
+    assert len(run) == size
+    assert all((a < b) == increasing for a, b in zip(run, run[1:])), run
+
+
+def test_height_and_width_match_patience_sorting_above_the_cap():
+    """Above the oracle's cap the solvers are checked against a second
+    method: a chain of the sequence poset is an increasing subsequence and
+    an antichain a decreasing one, so patience sorting gives both sizes."""
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(100, 300)
+        s = seq_from_list(rng.sample(range(4 * n), n))
+        h = height(seq_to_poset(s))
+        assert h.size == patience_length(s.items)
+        _assert_monotone_witness(s, h.witness, h.size, increasing=True)
+    for _ in range(100):
+        n = rng.randint(21, 60)
+        s = seq_from_list(rng.sample(range(4 * n), n))
+        w = width(seq_to_poset(s), cap=n)
+        assert w.size == patience_length([-v for v in s.items])
+        _assert_monotone_witness(s, w.witness, w.size, increasing=False)
