@@ -15,12 +15,12 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
-``width`` is the top frame alone: ``_top_frame`` computes the matching, the
-masks, m and the first size-m antichains for both it and
-``perles_chain_cover``, and the width's witness is the first of those
-antichains: the width needs nothing more.  ``perles_chain_cover`` goes on
-from the top frame through ``_cover_from_top``, which ``pre_es`` calls with
-the frame its width came from.  The matching's n − m chains
+``width`` is the top frame alone: ``_top_frame`` takes the caller's maximum
+matching and computes the masks, m and the first size-m antichains, whose
+first is the width's witness.  ``perles_chain_cover`` goes on from there
+through ``_cover_from_top``, which ``pre_es`` calls with the frame its width
+came from.  Its mask-level part ``_perles_cover`` returns the links, which
+Hall's matchings read as their pairs.  The matching's n − m chains
 (``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
 
 A frame below the top with |S| <= m + 1 takes case 2 unsearched.  Once its
@@ -81,7 +81,7 @@ is an interval of its final chain.  The halves of a split cover S and
 meet only in the chosen antichain (an element comparable to none of it would
 extend it; one above a and below b of it gives a < b), where their chains
 meet, so consecutive elements of a final chain lie in one piece.
-``perles_chain_cover`` checks the partition once, on masks.
+``_perles_cover`` checks the partition once, on masks.
 
 The search is pruned by the chains Fulkerson's matching already gives: each
 matched x → y links x to the next element of its chain, so the matching of
@@ -164,7 +164,7 @@ def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     """Size (and witness) of a largest antichain: the first antichain of
     Perles' top frame, which is the lexicographically first."""
     oracle._require_cap(len(P), cap, "width")
-    _, m, found = _top_frame(P)
+    _, m, found = _top_frame(P, _max_matching(P.up))
     return SizedWitness(_ids(P, found[0]), m)
 
 
@@ -173,12 +173,19 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
-    return _cover_from_top(P, _top_frame(P))
+    return _cover_from_top(P, _top_frame(P, _max_matching(P.up)))
 
 
 def _cover_from_top(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> DilworthCertificate:
-    """Perles' recursion from the top frame ``_top_frame(P)`` returned, so a
+    """Perles' certificate from the top frame ``_top_frame`` returned, so a
     caller that already holds it runs no second matching or search."""
+    _, m, found = top
+    cover = sorted(_perles_cover(P, top)[1], key=lambda chain: chain & -chain)
+    return DilworthCertificate(m, _ids(P, found[0]), tuple(_ids(P, c) for c in cover))
+
+
+def _perles_cover(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> tuple[dict[int, int], list[int]]:
+    """Perles' links y -> x from the top frame, and the m chains they make, checked, as masks."""
     order, m, found = top
     full = (1 << len(P)) - 1
     below = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
@@ -192,8 +199,7 @@ def _cover_from_top(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> Dilwo
     assert not any(comp[i] & witness for i in _indices(witness))
     assert sum(cover) == full and sum(chain.bit_count() for chain in cover) == len(P)
     assert all(not chain & ~(comp[i] | 1 << i) for chain in cover for i in _indices(chain))
-    cover.sort(key=lambda chain: chain & -chain)
-    return DilworthCertificate(m, _ids(P, witness), tuple(_ids(P, c) for c in cover))
+    return below, cover
 
 
 # A chain cover laid out as bit fields: each element index's one bit in its
@@ -205,10 +211,9 @@ _ChainSpace = tuple[list[int], list[int], int, int]
 _Order = tuple[tuple[int, ...], tuple[int, ...], list[int], "_ChainSpace | None"]
 
 
-def _top_frame(P: FinitePoset) -> tuple[_Order, int, list[int]]:
-    """Perles' masks for P, its width m by Fulkerson's matching, and the
-    first three size-m antichains of P in search order."""
-    matching = _max_matching(P.up)
+def _top_frame(P: FinitePoset, matching: dict[int, int]) -> tuple[_Order, int, list[int]]:
+    """Perles' masks for P, its width m by Fulkerson's ``matching``, a maximum
+    one of ``P.up``, and the first three size-m antichains of P in search order."""
     m = len(P) - len(matching)
     comp = [u | d for u, d in zip(P.up, P.down)]
     space = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ElementId, FinitePoset, _ids, build_poset, member_key
-from .dilworth import _cover_from_top, _top_frame
+from .dilworth import _cover_from_top, _max_matching, _top_frame
 from .errors import (
     DuplicateValue,
     EmptyInput,
@@ -96,7 +96,7 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
     # One top frame gives the width and, in the chain case, starts the cover.
     _require_cap(len(P), cap, "width")
-    top = _top_frame(P)
+    top = _top_frame(P, _max_matching(P.up))
     _, m, found = top
     if m >= s + 1:
         return PosetWitness(ANTICHAIN, _ids(P, found[0]))

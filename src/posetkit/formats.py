@@ -86,7 +86,7 @@ def _load_json(data: bytes | str) -> Any:
             raise ParseError(f"input is not UTF-8: {e}") from None
     try:
         return json.loads(data, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past sys.get_int_max_str_digits()
         raise ParseError(f"input is not valid JSON: {e}") from None
 
 

@@ -4,8 +4,10 @@ A bipartite graph is read as a height-two poset (reflexive closure of the
 left-to-right edges).  When every left subset has enough neighbors, the right
 part is a maximum antichain, the chain-cover solver partitions the poset into
 |R| chains, and the two-element chains among them are a left-perfect matching.
-The set-family form (systems of distinct representatives) reduces to the same
-machinery over int vertex ids.
+One Kuhn matching decides Hall's condition and seeds the solver's top frame
+(Fulkerson's reduction); each of its links y -> x pairs a left vertex x with
+the right vertex y above it.  The set-family form (systems of distinct
+representatives) builds the same masks over int vertex ids.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
-from .core import ElementId, FinitePoset, _check_id, id_key, sorted_ids
-from .dilworth import _max_matching, perles_chain_cover
+from .core import ElementId, FinitePoset, _check_id, _indices, id_key, sorted_ids
+from .dilworth import _max_matching, _perles_cover, _top_frame
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
-from .oracle import DEFAULT_ORACLE_CAP
+from .oracle import DEFAULT_ORACLE_CAP, _require_cap
 
 # Hall's condition quantifies over all 2^|L| left subsets.
 DEFAULT_SUBSET_CAP = 20
@@ -93,23 +95,16 @@ def neighborhood(G: BipartiteGraph, S: AbstractSet[ElementId]) -> frozenset[Elem
     return frozenset(v for (u, v) in G.edges if u in S)
 
 
-def _neighbour_masks(G: BipartiteGraph) -> list[int]:
-    """Each left vertex's neighbours as a mask over right indices, in ``G.left`` order."""
-    index = {u: i for i, u in enumerate(G.left)}
-    rindex = {v: j for j, v in enumerate(G.right)}
-    nbr = [0] * len(G.left)
-    for (u, v) in G.edges:
-        nbr[index[u]] |= 1 << rindex[v]
-    return nbr
-
-
 def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
     """None when every left subset S has |N(S)| >= |S|; otherwise the
     smallest violating subset (lexicographically first among those)."""
     n = len(G.left)
     if n > cap:
         raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
-    nbr = _neighbour_masks(G)
+    index, rindex = {u: i for i, u in enumerate(G.left)}, {v: j for j, v in enumerate(G.right)}
+    nbr = [0] * n  # each left vertex's neighbours as a mask over right indices
+    for (u, v) in G.edges:
+        nbr[index[u]] |= 1 << rindex[v]
     for k in range(1, n + 1):
         for combo in combinations(range(n), k):
             seen = 0
@@ -149,6 +144,19 @@ def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]],
     return True
 
 
+def _matching_links(P: FinitePoset, n_left: int, oracle_cap: int) -> dict[int, int] | None:
+    """Perles' links y -> x (left x below right y) on graph poset P; None if Kuhn misses a left vertex."""
+    matching = _max_matching(P.up)
+    if len(matching) < n_left:
+        return None
+    _require_cap(len(P), oracle_cap, "perles_chain_cover")
+    links, _ = _perles_cover(P, _top_frame(P, matching))  # checks its partition
+    # The partition asserts make each chain a vertex or an edge, so |L| links match every
+    # left vertex once on disjoint edges: all verify_matching(..., require_L_perfect=True) checked.
+    assert len(links) == n_left
+    return links
+
+
 def find_L_perfect_matching(
     G: BipartiteGraph,
     *,
@@ -161,18 +169,14 @@ def find_L_perfect_matching(
     the smallest violation.  ``oracle_cap`` bounds the chain cover's search.
 
     Construction: chain-cover the graph poset, which partitions it into |R|
-    chains of at most two elements; the |L| two-element ones are the pairs."""
-    if len(_max_matching(_neighbour_masks(G))) < len(G.left):
+    chains of at most two elements; its |L| links, left below right, are the pairs."""
+    P = graph_to_poset(G)
+    links = _matching_links(P, len(G.left), oracle_cap)
+    if links is None:
         bad = hall_condition(G, subset_cap)
         assert bad is not None
         return bad
-    cert = perles_chain_cover(graph_to_poset(G), oracle_cap)  # checks its cover
-    assert len(cert.cover) == len(G.right)
-    # Each two-element chain, left vertex first.
-    matching: Matching = frozenset(tuple(sorted(chain, key=G.right_set.__contains__))
-                                   for chain in cert.cover if len(chain) == 2)
-    assert verify_matching(G, matching, require_L_perfect=True)
-    return matching
+    return frozenset((P.elements[x], P.elements[y]) for y, x in links.items())
 
 
 def find_sdr(
@@ -185,8 +189,8 @@ def find_sdr(
     whose union is smaller than it.
 
     Names and elements may share ids, so element j becomes vertex j and member
-    i vertex len(ground) + i: distinct and sorted as generated, so the graph
-    needs no ``build_bigraph`` checks."""
+    i vertex len(ground) + i, whose ``up`` mask is its elements; a
+    ``BipartiteGraph`` is built only for ``hall_condition``, when there is none."""
     names = sorted(family, key=id_key)
     if not names:
         return {}
@@ -197,10 +201,18 @@ def find_sdr(
     ground = sorted({x for s in family.values() for x in s}, key=id_key)
     back = ground + names
     vertex = {x: j for j, x in enumerate(ground)}
-    left = range(len(ground), len(back))
-    G = BipartiteGraph(tuple(left), tuple(range(len(ground))),
-                       frozenset((u, vertex[x]) for u, nm in zip(left, names) for x in family[nm]))
-    result = find_L_perfect_matching(G, subset_cap=subset_cap, oracle_cap=oracle_cap)
-    if isinstance(result, Violation):
-        return Violation(frozenset(back[u] for u in result.members), result.deficiency)
-    return {back[u]: back[v] for (u, v) in result}
+    up, down = [0] * len(back), [0] * len(back)
+    for i, nm in enumerate(names, len(ground)):
+        for x in family[nm]:
+            up[i] |= 1 << vertex[x]
+            down[vertex[x]] |= 1 << i
+    P = FinitePoset(tuple(range(len(back))), tuple(up), tuple(down))
+    links = _matching_links(P, len(names), oracle_cap)
+    if links is None:
+        left = range(len(ground), len(back))
+        G = BipartiteGraph(tuple(left), tuple(range(len(ground))),
+                           frozenset((i, j) for i in left for j in _indices(up[i])))
+        bad = hall_condition(G, subset_cap)
+        assert bad is not None
+        return Violation(frozenset(back[u] for u in bad.members), bad.deficiency)
+    return {back[x]: back[y] for y, x in links.items()}

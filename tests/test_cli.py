@@ -256,6 +256,29 @@ def test_recursion_past_the_stack_limit_is_a_one_line_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit on int literal digits, set for the test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def test_an_int_past_the_digit_limit_is_a_one_line_error(tmp_path, capsys, int_digit_limit):
+    huge = "9" * (int_digit_limit + 1)
+    inst = tmp_path / "big.json"
+    inst.write_text('{"kind": "sequence", "values": [' + huge + "]}")
+    seq = write(tmp_path, "seq.json", SEQ)
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"kind": "es", "direction": "increasing", "values": [' + huge + "]}")
+    for argv in (["es", str(inst), "-m", "1", "-n", "1"], ["verify", seq, str(cert)]):
+        assert run_command(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input is not valid JSON: ") and captured.err.count("\n") == 1
+
+
 def _long(tmp_path, shape):
     """A 1,000-element chain or antichain instance file."""
     names = [f"e{i:04d}" for i in range(1000)]

@@ -590,7 +590,7 @@ def test_a_frame_covers_its_isolated_elements_as_singletons(perles_corpus):
         K, T = lo & hi, full & ~(lo & hi)
         if not K or not T:
             continue
-        order, m, found = dilworth._top_frame(P)
+        order, m, found = dilworth._top_frame(P, _max_matching(P.up))
         assert all(c & K == K for c in found)  # every maximum antichain holds K
         k = K.bit_count()
         found_T = dilworth._antichains(order, T, m - k)

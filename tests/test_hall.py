@@ -12,6 +12,7 @@ from posetkit import (
     Violation,
     build_bigraph,
     build_poset,
+    dilworth,
     find_L_perfect_matching,
     find_sdr,
     formats,
@@ -20,6 +21,7 @@ from posetkit import (
     hall_condition,
     max_chain,
     neighborhood,
+    perles_chain_cover,
     verify_matching,
     width,
 )
@@ -265,6 +267,80 @@ def test_subset_cap_bounds_only_the_violation_search(thin):
         else:
             with pytest.raises(InstanceTooLarge, match="--subset-cap"):
                 find_L_perfect_matching(G, subset_cap=0)
+
+
+def _interleaved_bigraph(rng, nl, nr):
+    """A random bigraph whose string ids interleave left and right in sorted order."""
+    ids = [f"v{i:02d}" for i in range(nl + nr)]
+    rng.shuffle(ids)
+    left, right = ids[:nl], ids[nl:]
+    p = rng.choice((0.3, 0.5, 0.7))
+    return build_bigraph(left, right, [(u, v) for u in left for v in right if rng.random() < p])
+
+
+def _shared_id_family(rng):
+    """Non-empty members whose int names are also element ids."""
+    return {i: frozenset(rng.sample(range(5), rng.randint(1, 3))) for i in range(rng.randint(1, 6))}
+
+
+def test_each_matching_and_sdr_call_runs_one_kuhn_matching(monkeypatch, k22):
+    calls = []
+    kuhn = dilworth._max_matching
+
+    def counting(adj):
+        calls.append(adj)
+        return kuhn(adj)
+
+    monkeypatch.setattr(hall, "_max_matching", counting)
+    monkeypatch.setattr(dilworth, "_max_matching", counting)
+    rng = random.Random(17)
+    matched = set()
+    for _ in range(200):
+        for solve, arg in ((find_L_perfect_matching, _interleaved_bigraph(rng, rng.randint(1, 5), rng.randint(1, 5))),
+                           (find_sdr, _shared_id_family(rng))):
+            calls.clear()
+            matched.add((solve, not isinstance(solve(arg), Violation)))
+            assert len(calls) == 1, arg
+    assert len(matched) == 4  # both solvers, with and without a matching
+    # A matchable graph above the oracle cap still names the flag, after one matching.
+    calls.clear()
+    with pytest.raises(InstanceTooLarge, match=r"^perles_chain_cover: instance has 4 elements, "
+                                               r"cap is 3 \(raise it with --oracle-cap\)$"):
+        find_L_perfect_matching(k22, oracle_cap=3)
+    assert len(calls) == 1
+
+
+def _chain_cover_pairs(G):
+    """The matching as the chain cover gives it: its two-element chains, left vertex first."""
+    cover = perles_chain_cover(graph_to_poset(G), cap=48).cover
+    return frozenset(tuple(sorted(chain, key=G.right_set.__contains__)) for chain in cover if len(chain) == 2)
+
+
+def test_pairs_equal_the_two_element_chains_of_the_chain_cover():
+    rng = random.Random(18)
+    matched = 0
+    for _ in range(300):
+        G = _interleaved_bigraph(rng, rng.randint(1, 6), rng.randint(1, 6))
+        result = find_L_perfect_matching(G)
+        if isinstance(result, Violation):
+            assert result == hall_condition(G), G
+        else:
+            assert result == _chain_cover_pairs(G), G
+            matched += 1
+    for _ in range(300):
+        family = _shared_id_family(rng)
+        ground, names = sorted(frozenset().union(*family.values())), sorted(family)
+        back = ground + names
+        G = build_bigraph(range(len(ground), len(back)), range(len(ground)),
+                          [(len(ground) + i, ground.index(x)) for i, nm in enumerate(names) for x in family[nm]])
+        result = find_sdr(family)
+        if isinstance(result, Violation):
+            bad = hall_condition(G)
+            assert result == Violation(frozenset(back[u] for u in bad.members), bad.deficiency), family
+        else:
+            assert result == {back[u]: back[v] for u, v in _chain_cover_pairs(G)}, family
+            matched += 1
+    assert 150 < matched < 550
 
 
 # --- byte identity of the certificates ------------------------------------------
