@@ -10,7 +10,9 @@ operations; the pair set ``relation`` is a view derived on demand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -69,13 +71,13 @@ class FinitePoset:
     up: tuple[int, ...]
     down: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_carrier", frozenset(self.elements))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-
-    @property
+    @cached_property
     def carrier(self) -> frozenset[ElementId]:
-        return self._carrier  # type: ignore[attr-defined]
+        return frozenset(self.elements)
+
+    @cached_property
+    def _index(self) -> dict[ElementId, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     @property
     def relation(self) -> frozenset[tuple[ElementId, ElementId]]:
@@ -87,7 +89,7 @@ class FinitePoset:
         return [(e[i], e[j]) for i, u in enumerate(self.up) for j in _indices(u)]
 
     def lt(self, x: ElementId, y: ElementId) -> bool:
-        i, j = self._index.get(x), self._index.get(y)  # type: ignore[attr-defined]
+        i, j = self._index.get(x), self._index.get(y)
         return i is not None and j is not None and bool(self.up[i] >> j & 1)
 
     def le(self, x: ElementId, y: ElementId) -> bool:
@@ -121,7 +123,7 @@ def _ids(P: FinitePoset, mask: int) -> frozenset[ElementId]:
 
 def _mask(P: FinitePoset, S: AbstractSet[ElementId]) -> int:
     """A subset of the carrier as a mask over P's index."""
-    return sum(1 << P._index[x] for x in S)  # type: ignore[attr-defined]
+    return sum(1 << P._index[x] for x in S)
 
 
 def _union(masks: Sequence[int], mask: int) -> int:
@@ -131,6 +133,13 @@ def _union(masks: Sequence[int], mask: int) -> int:
         out |= masks[(mask & -mask).bit_length() - 1]
         mask &= mask - 1
     return out
+
+
+def _edge(edge: object) -> tuple[ElementId, ElementId]:
+    """An edge given as a tuple or list of exactly two ids."""
+    if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+        raise ValidationError(f"edge {edge!r} is not a pair")
+    return _check_id(edge[0]), _check_id(edge[1])
 
 
 def _extremal(masks: Sequence[int], cand: int, S: int) -> int:
@@ -157,17 +166,15 @@ def build_poset(
     if not elems:
         raise EmptyCarrier("a poset needs a non-empty carrier")
     if len(set(elems)) != len(elems):
-        dup = next(e for e in elems if elems.count(e) > 1)
+        counts = Counter(elems)
+        dup = next(e for e in elems if counts[e] > 1)
         raise ValidationError(f"duplicate id {dup!r} in carrier")
     order = sorted_ids(elems)
     index = {e: i for i, e in enumerate(order)}
 
     succ, pred = [0] * len(order), [0] * len(order)
     for edge in strict_edges:
-        try:
-            a, b = map(_check_id, edge)
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge {edge!r} is not a pair") from None
+        a, b = _edge(edge)
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise ValidationError(f"edge endpoint {missing!r} not in carrier")
@@ -235,7 +242,7 @@ def minimal_below(P: FinitePoset, y: ElementId) -> ElementId:
     choice is reproducible."""
     if y not in P:
         raise ElementNotInCarrier(f"{y!r} not in carrier")
-    j = P._index[y]  # type: ignore[attr-defined]
+    j = P._index[y]
     return P.elements[next(i for i in _indices(P.down[j] | 1 << j) if not P.down[i])]
 
 
@@ -243,7 +250,7 @@ def maximal_above(P: FinitePoset, x: ElementId) -> ElementId:
     """A maximal element y with x <= y; the smallest-id candidate."""
     if x not in P:
         raise ElementNotInCarrier(f"{x!r} not in carrier")
-    i = P._index[x]  # type: ignore[attr-defined]
+    i = P._index[x]
     return P.elements[next(j for j in _indices(P.up[i] | 1 << i) if not P.up[j])]
 
 

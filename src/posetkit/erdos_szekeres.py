@@ -8,6 +8,7 @@ of n+1, extracted from a maximum antichain or a chain cover."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import ElementId, FinitePoset, _ids, build_poset, member_key
@@ -41,7 +42,8 @@ class IntSeq:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValidationError(f"sequence values must be integers, got {v!r}")
         if len(set(self.items)) != len(self.items):
-            dup = next(v for v in self.items if self.items.count(v) > 1)
+            counts = Counter(self.items)
+            dup = next(v for v in self.items if counts[v] > 1)
             raise DuplicateValue(f"value {dup!r} occurs more than once")
 
     @property

@@ -5,14 +5,15 @@ keys are sorted, sets appear as id-sorted lists, and covers list their chains
 by smallest element, so identical inputs always produce identical bytes and
 certificates stay diffable.  Each certificate kind is one row of
 :data:`CERTIFICATE_KINDS`; the CLI's commands and :func:`verify_certificate`
-both read that table.
+both read that table.  The matching and SDR kinds, Hall's theorem on a graph
+and on a set family, share one encoder and one violation re-check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import (
     ElementId,
@@ -46,7 +47,6 @@ from .hall import (
     build_bigraph,
     find_L_perfect_matching,
     find_sdr,
-    neighborhood,
     verify_matching,
 )
 from .mirsky import MirskyCertificate, MirskyReport, _layers, check_mirsky, height, mirsky_antichain_cover
@@ -204,10 +204,6 @@ def _pairs_out(pairs: Iterable[tuple[ElementId, ElementId]]) -> list[list[Elemen
     return [list(p) for p in sorted(pairs, key=lambda p: (id_key(p[0]), id_key(p[1])))]
 
 
-def _violation_out(v: Violation) -> dict[str, Any]:
-    return {"set": _ids_out(v.members), "deficiency": v.deficiency}
-
-
 def size_certificate(kind: str, found: SizedWitness) -> dict[str, Any]:
     """A width or height certificate.  ``meta.algorithm`` names what the
     witness is, the lexicographically first largest set that an exhaustive
@@ -242,41 +238,31 @@ def antichain_cover_certificate(cert: MirskyCertificate) -> dict[str, Any]:
 
 
 def report_certificate(report: DilworthReport | MirskyReport) -> dict[str, Any]:
-    if isinstance(report, DilworthReport):
-        return {
-            "kind": "dilworth-report",
-            "width": report.width,
-            "cover_size": report.cover_size,
-            "equal": report.equal,
-        }
-    return {
-        "kind": "mirsky-report",
-        "height": report.height,
-        "cover_size": report.cover_size,
-        "equal": report.equal,
+    kind = "dilworth-report" if isinstance(report, DilworthReport) else "mirsky-report"
+    return {"kind": kind, **asdict(report)}
+
+
+def _hall_certificate(kind: str, result: Any, key: str, answer: Callable[[Any], Any],
+                      minimality_checked: bool) -> dict[str, Any]:
+    """A matching or SDR certificate: the Hall violation, or ``answer(result)`` under ``key``."""
+    meta = {
+        "algorithm": "chain-cover-matching",
+        "tie_break": TIE_BREAK,
+        "minimality_check": "checked" if minimality_checked else "trusted",
     }
+    if isinstance(result, Violation):
+        violation = {"set": _ids_out(result.members), "deficiency": result.deficiency}
+        return {"kind": kind, "violation": violation, "meta": meta}
+    return {"kind": kind, key: answer(result), "meta": meta}
 
 
 def matching_certificate(result: Matching | Violation, minimality_checked: bool) -> dict[str, Any]:
-    meta = {
-        "algorithm": "chain-cover-matching",
-        "tie_break": TIE_BREAK,
-        "minimality_check": "checked" if minimality_checked else "trusted",
-    }
-    if isinstance(result, Violation):
-        return {"kind": "matching", "violation": _violation_out(result), "meta": meta}
-    return {"kind": "matching", "pairs": _pairs_out(result), "meta": meta}
+    return _hall_certificate("matching", result, "pairs", _pairs_out, minimality_checked)
 
 
 def sdr_certificate(result: dict[ElementId, ElementId] | Violation, minimality_checked: bool) -> dict[str, Any]:
-    meta = {
-        "algorithm": "chain-cover-matching",
-        "tie_break": TIE_BREAK,
-        "minimality_check": "checked" if minimality_checked else "trusted",
-    }
-    if isinstance(result, Violation):
-        return {"kind": "sdr", "violation": _violation_out(result), "meta": meta}
-    return {"kind": "sdr", "choice": {name: result[k] for name, k in _by_name(result).items()}, "meta": meta}
+    return _hall_certificate("sdr", result, "choice",
+                             lambda r: {name: r[k] for name, k in _by_name(r).items()}, minimality_checked)
 
 
 def _by_name(members: Iterable[ElementId]) -> dict[str, ElementId]:
@@ -369,17 +355,28 @@ def _verify_report(P: FinitePoset, cert: dict[str, Any], kind: str) -> tuple[boo
     return True, "ok"
 
 
+def _verify_violation(v: Any, sets: Mapping[ElementId, Iterable[ElementId]],
+                      twice: str, unknown: str) -> tuple[bool, str]:
+    """A claimed Hall violation: distinct keys of ``sets`` whose sets' union
+    falls short of their number by the claimed deficiency, at least 1."""
+    names = _id_list(_field(v, "set"), "violation.set")
+    if len(set(names)) != len(names):
+        return False, twice
+    if not set(names) <= set(sets):
+        return False, unknown
+    lack = len(names) - len(set().union(*(sets[name] for name in names)))
+    if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
+        return False, "violation does not recheck"
+    return True, "ok"
+
+
 def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str]:
     if "violation" in cert:
-        v = cert["violation"]
-        names = _id_list(_field(v, "set"), "violation.set")
-        members = frozenset(names)
-        if len(members) != len(names) or not members <= G.left_set:
-            return False, "violating set is not a set of left vertices"
-        lack = len(members) - len(neighborhood(G, members))
-        if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
-            return False, "violation does not recheck"
-        return True, "ok"
+        nbrs: dict[ElementId, set[ElementId]] = {u: set() for u in G.left}
+        for (u, v) in G.edges:
+            nbrs[u].add(v)
+        not_left = "violating set is not a set of left vertices"
+        return _verify_violation(cert["violation"], nbrs, not_left, not_left)
     pairs = [(_id_entry(a, f"pairs[{i}]"), _id_entry(b, f"pairs[{i}]"))
              for i, (a, b) in enumerate(_pair_list(_field(cert, "pairs"), "pairs"))]
     if not verify_matching(G, pairs, require_L_perfect=True):
@@ -389,17 +386,8 @@ def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str
 
 def _verify_sdr(family: SetFamily, cert: dict[str, Any]) -> tuple[bool, str]:
     if "violation" in cert:
-        v = cert["violation"]
-        members = _id_list(_field(v, "set"), "violation.set")
-        if len(set(members)) != len(members):
-            return False, "violating subfamily names a member twice"
-        if not set(members) <= set(family):
-            return False, "violating subfamily names unknown members"
-        union = frozenset().union(*(family[nm] for nm in members)) if members else frozenset()
-        lack = len(members) - len(union)
-        if lack < 1 or lack != _int(_field(v, "deficiency"), "deficiency"):
-            return False, "violation does not recheck"
-        return True, "ok"
+        return _verify_violation(cert["violation"], family, "violating subfamily names a member twice",
+                                 "violating subfamily names unknown members")
     choice = _field(cert, "choice")
     if not isinstance(choice, dict):
         raise ValidationError("choice: expected an object")

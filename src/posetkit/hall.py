@@ -13,10 +13,11 @@ representatives) builds the same masks over int vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
-from .core import ElementId, FinitePoset, _check_id, _indices, id_key, sorted_ids
+from .core import ElementId, FinitePoset, _check_id, _edge, _indices, id_key, sorted_ids
 from .dilworth import _max_matching, _perles_cover, _top_frame
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP, _require_cap
@@ -37,17 +38,13 @@ class BipartiteGraph:
     right: tuple[ElementId, ...]
     edges: frozenset[tuple[ElementId, ElementId]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_left_set", frozenset(self.left))
-        object.__setattr__(self, "_right_set", frozenset(self.right))
-
-    @property
+    @cached_property
     def left_set(self) -> frozenset[ElementId]:
-        return self._left_set  # type: ignore[attr-defined]
+        return frozenset(self.left)
 
-    @property
+    @cached_property
     def right_set(self) -> frozenset[ElementId]:
-        return self._right_set  # type: ignore[attr-defined]
+        return frozenset(self.right)
 
 
 @dataclass(frozen=True)
@@ -76,10 +73,7 @@ def build_bigraph(
         raise ValidationError(f"left and right parts overlap on {sorted_ids(overlap)!r}")
     edge_set = set()
     for edge in edges:
-        try:
-            u, v = map(_check_id, edge)
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge {edge!r} is not a pair") from None
+        u, v = _edge(edge)
         if u not in lset:
             raise ValidationError(f"edge source {u!r} is not a left vertex")
         if v not in rset:

@@ -1,9 +1,9 @@
 """Exponential-time ground truth: largest antichains/chains, smallest covers,
 and a small-poset enumerator.
 
-Everything here is exhaustive search over the carrier, deliberately kept free
-of the constructive algorithms it is used to check.  Tie-breaking is always
-lexicographic on sorted element ids, so outputs are reproducible.
+Everything here is exhaustive search, kept free of the constructive algorithms
+it checks; a smallest cover is one partition search, from 1 block up, that
+calls no other search here.  Ties break lexicographically on sorted ids.
 """
 
 from __future__ import annotations
@@ -115,42 +115,19 @@ def _antichain_masks(comp: list[int], cand: int, k: int, limit: int | None) -> l
     return found
 
 
-def _min_compatible_partition(n: int, conflict: list[int], lower_bound: int) -> list[int]:
+def _min_compatible_partition(n: int, conflict: list[int]) -> list[int]:
     """Partition indices 0..n-1 into the fewest blocks with no internal
     conflicts; among minimum partitions return the one whose canonical form
     (blocks listed by smallest member) is lexicographically least.
 
-    Two passes: a branch-and-bound for the minimum block count (``lower_bound``
-    is only an early stop, never a correctness input), then a second
-    search constrained to that count that keeps the canonical-least witness.
-    Elements are placed in ascending index order, so blocks are always listed
-    by their smallest member.
+    One depth-first search, run with at most 1, 2, ... blocks: the first
+    count that admits a partition is the minimum, and that run keeps the
+    canonical-least of its partitions.  Elements are placed in ascending
+    index order, so blocks are always listed by their smallest member.
     """
-    best_size = n  # singletons are always conflict-free
-
-    def dfs_size(i: int, blocks: list[int]) -> None:
-        nonlocal best_size
-        if len(blocks) >= best_size or best_size == lower_bound:
-            return
-        if i == n:
-            best_size = len(blocks)
-            return
-        bit = 1 << i
-        for j, mask in enumerate(blocks):
-            if not mask & conflict[i]:
-                blocks[j] = mask | bit
-                dfs_size(i + 1, blocks)
-                blocks[j] = mask
-        blocks.append(bit)
-        dfs_size(i + 1, blocks)
-        blocks.pop()
-
-    dfs_size(0, [])
-
-    target = best_size
     best_key: tuple[tuple[int, ...], ...] | None = None
 
-    def dfs_witness(i: int, blocks: list[int]) -> None:
+    def dfs(i: int, blocks: list[int], most: int) -> None:
         nonlocal best_key
         if i == n:
             key = tuple(tuple(_indices(mask)) for mask in blocks)
@@ -161,15 +138,17 @@ def _min_compatible_partition(n: int, conflict: list[int], lower_bound: int) -> 
         for j, mask in enumerate(blocks):
             if not mask & conflict[i]:
                 blocks[j] = mask | bit
-                dfs_witness(i + 1, blocks)
+                dfs(i + 1, blocks, most)
                 blocks[j] = mask
-        if len(blocks) < target:
+        if len(blocks) < most:
             blocks.append(bit)
-            dfs_witness(i + 1, blocks)
+            dfs(i + 1, blocks, most)
             blocks.pop()
 
-    dfs_witness(0, [])
-    assert best_key is not None
+    most = 0
+    while best_key is None:  # ends by most == n: singletons are always conflict-free
+        most += 1
+        dfs(0, [], most)
     return [sum(1 << b for b in block) for block in best_key]
 
 
@@ -178,18 +157,14 @@ def min_chain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> ChainCover:
     search (any cover can be made disjoint without growing, so partitions
     suffice)."""
     _require_cap(len(P), cap, "min_chain_cover", "cap=")
-    comp, incomp = _conflict_masks(P)
-    width = _lex_first_max_compatible(len(P), comp).bit_count()
-    blocks = _min_compatible_partition(len(P), incomp, width)
+    blocks = _min_compatible_partition(len(P), _conflict_masks(P)[1])
     return canonical_cover(_ids(P, mask) for mask in blocks)
 
 
 def min_antichain_cover(P: FinitePoset, cap: int = DEFAULT_COVER_CAP) -> AntichainCover:
     """An antichain cover of minimum cardinality by exhaustive partition search."""
     _require_cap(len(P), cap, "min_antichain_cover", "cap=")
-    comp, incomp = _conflict_masks(P)
-    height = _lex_first_max_compatible(len(P), incomp).bit_count()
-    blocks = _min_compatible_partition(len(P), comp, height)
+    blocks = _min_compatible_partition(len(P), _conflict_masks(P)[0])
     return canonical_cover(_ids(P, mask) for mask in blocks)
 
 

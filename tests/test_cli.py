@@ -185,6 +185,31 @@ def test_es_command(tmp_path, capsys):
     assert out["direction"] == "increasing" and len(out["values"]) == 3
 
 
+@pytest.mark.parametrize("argv,payload,cert,message", [
+    (["width"], [P3], None, "instance must be a JSON object"),
+    (["sdr"], {"kind": "family", "members": [["x"]]}, None, "members: expected an object"),
+    (["sdr"], {"kind": "family", "members": {"S": ["x", "x"]}}, None,
+     "members['S']: duplicate id in member"),
+    (["es", "-m", "0", "-n", "0"], {"kind": "sequence", "values": 5}, None,
+     "values: expected a list of integers"),
+    (["verify"], P3, [], "certificate must be a JSON object"),
+    (["matching"], {"kind": "bigraph", "left": ["l", "l"], "right": ["r"], "edges": []}, None,
+     "duplicate vertex id within a part"),
+    (["matching"], {"kind": "bigraph", "left": ["l"], "right": ["r"], "edges": [["l", "l"]]}, None,
+     "edge target 'l' is not a right vertex"),
+], ids=["instance-not-object", "members-not-object", "member-repeats-an-id",
+        "values-not-list", "certificate-not-object", "part-repeats-a-vertex", "edge-target-not-right"])
+def test_each_validation_branch_exits_2_with_one_line(tmp_path, capsys, argv, payload, cert, message):
+    argv = argv[:1] + [write(tmp_path, "inst.json", payload)] + argv[1:]
+    if cert is not None:
+        argv.append(write(tmp_path, "cert.json", cert))
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run_command(["width", missing]) == 2
@@ -547,6 +572,14 @@ def test_sdr_member_names_that_print_the_same_are_rejected():
     family = {1: frozenset({"a"}), "1": frozenset({"b"})}
     with pytest.raises(ValidationError, match="1.*'1'"):
         formats.sdr_certificate(find_sdr(family), minimality_checked=True)
+
+
+def test_verify_rejects_an_increasing_witness_whose_values_fall(tmp_path, capsys):
+    seq = write(tmp_path, "s.json", SEQ)  # 4 precedes 1 in [3, 4, 1, 2, 5]
+    forged = write(tmp_path, "c.json", {"kind": "subsequence", "direction": "increasing",
+                                        "values": [4, 1], "m": 1, "n": 4})
+    code, out = run(tmp_path, capsys, "verify", seq, forged)
+    assert code == 1 and out["detail"] == "witness is not a monotone subsequence of the instance"
 
 
 def test_verify_subsequence_rejects_wrong_length(tmp_path, capsys):

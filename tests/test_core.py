@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -59,6 +60,8 @@ def test_build_empty_rejected():
 def test_build_validation_errors():
     with pytest.raises(ValidationError):
         build_poset(["a", "a"], ())
+    with pytest.raises(ValidationError, match="duplicate id 'x' in carrier"):  # the first, in input order
+        build_poset(["x", "y", "y", "x"], ())
     with pytest.raises(ValidationError):
         build_poset(["a"], [("a", "zzz")])
     with pytest.raises(ValidationError):
@@ -72,6 +75,29 @@ def test_build_checks_edge_endpoints_as_ids(endpoint):
         build_poset([1, 2, "a"], [(endpoint, 2)])
     with pytest.raises(ValidationError):
         build_poset([1, 2, "a"], [(2, endpoint)])
+
+
+def test_a_duplicate_id_in_a_large_carrier_is_named_in_linear_time():
+    # the repeat comes last, so a per-element count would scan the carrier 50,000 times
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="duplicate id 49999 in carrier"):
+        build_poset(list(range(50_000)) + [49_999], ())
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("edge", ["ab", {"a": 0, "b": 1}, {"a", "b"}, ("a", "b", "a"), 5],
+                         ids=["str", "dict", "set", "triple", "int"])
+def test_an_edge_must_be_a_tuple_or_list_of_two_ids(edge):
+    with pytest.raises(ValidationError, match="is not a pair"):
+        build_poset(["a", "b"], [edge])
+    assert build_poset(["a", "b"], [["a", "b"]]) == build_poset(["a", "b"], [("a", "b")])
+
+
+def test_equal_posets_compare_and_hash_equal_whatever_they_cached():
+    P, Q = build_poset("ab", [("a", "b")]), build_poset("ab", [("a", "b")])
+    assert "a" in P  # reads P.carrier, which P then keeps
+    assert "carrier" in vars(P) and "carrier" not in vars(Q)
+    assert P == Q and hash(P) == hash(Q)
 
 
 def test_build_transitive_closure():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -29,6 +30,7 @@ from posetkit.errors import (
     DuplicateValue,
     EmptyInput,
     InstanceTooLarge,
+    ValidationError,
     WrongCardinality,
 )
 
@@ -42,8 +44,18 @@ def test_seq_from_list():
     assert s.items == (3, 1, 2)
     with pytest.raises(DuplicateValue):
         seq_from_list([1, 1])
+    with pytest.raises(DuplicateValue, match="value 1 occurs"):  # the first, in input order
+        seq_from_list([1, 2, 2, 1])
     with pytest.raises(EmptyInput):
         seq_from_list([])
+
+
+def test_a_duplicate_value_in_a_long_sequence_is_named_in_linear_time():
+    # the repeat comes last, so a per-value count would scan the sequence 50,000 times
+    start = time.perf_counter()
+    with pytest.raises(DuplicateValue, match="value 49999 occurs"):
+        seq_from_list(list(range(50_000)) + [49_999])
+    assert time.perf_counter() - start < 2
 
 
 def test_seq_to_poset_examples():
@@ -163,6 +175,10 @@ def test_verify_subseq():
     assert not verify_subseq(s, SubseqWitness(INCREASING, seq_from_list([3, 9])))
     # order must come from the parent: 1 precedes 2 there, not 2, 1
     assert not verify_subseq(s, SubseqWitness(DECREASING, seq_from_list([2, 1])))
+    # in parent order, but falling
+    assert not verify_subseq(s, SubseqWitness(INCREASING, seq_from_list([4, 1])))
+    with pytest.raises(ValidationError, match="unknown witness kind 'sideways'"):
+        verify_subseq(s, SubseqWitness("sideways", seq_from_list([3])))
 
 
 def test_tightness_of_the_cardinality_precondition():

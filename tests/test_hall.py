@@ -61,6 +61,14 @@ def test_build_bigraph_checks_edge_endpoints_as_ids(endpoint):
         build_bigraph([1], [2], [(1, endpoint)])
 
 
+@pytest.mark.parametrize("edge", ["lr", {"l": 0, "r": 1}, {"l", "r"}, ("l", "r", "r"), 5],
+                         ids=["str", "dict", "set", "triple", "int"])
+def test_a_bigraph_edge_must_be_a_tuple_or_list_of_two_ids(edge):
+    with pytest.raises(ValidationError, match="is not a pair"):
+        build_bigraph(["l"], ["r"], [edge])
+    assert build_bigraph(["l"], ["r"], [["l", "r"]]).edges == {("l", "r")}
+
+
 def test_neighborhood(k22, thin):
     assert neighborhood(thin, {"l1", "l2"}) == {"r1"}
     assert neighborhood(thin, set()) == frozenset()

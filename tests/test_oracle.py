@@ -18,10 +18,12 @@ from posetkit import (
     verify_chain_cover,
 )
 from posetkit.errors import InstanceTooLarge
+from posetkit.core import sorted_ids
 from posetkit.oracle import _antichain_masks, _conflict_masks, enumerate_posets
 
 from conftest import (
     random_poset,
+    ref_all_set_partitions,
     ref_is_antichain,
     ref_is_chain,
     ref_max_antichain,
@@ -100,6 +102,19 @@ def test_min_covers_match_reference(posets_upto_4):
         cover = min_antichain_cover(P)
         assert verify_antichain_cover(P, cover)
         assert len(cover) == ref_min_cover_size(P, ref_is_antichain)
+
+
+@pytest.mark.parametrize("cover,predicate", [(min_chain_cover, ref_is_chain),
+                                             (min_antichain_cover, ref_is_antichain)],
+                         ids=["chain", "antichain"])
+def test_min_covers_are_the_fewest_then_canonical_least_partition(cover, predicate):
+    # every set partition into chains (antichains), ranked by its block count,
+    # then by its blocks as sorted id sequences listed by smallest member
+    for P in enumerate_posets(4):
+        _, best = min((len(part), sorted(sorted_ids(block) for block in part))
+                      for part in ref_all_set_partitions(P.elements)
+                      if all(predicate(P, block) for block in part))
+        assert cover(P) == tuple(frozenset(block) for block in best)
 
 
 def test_cover_duality_inequalities(posets_upto_4):
