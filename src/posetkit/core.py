@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -38,6 +39,10 @@ def id_key(x: ElementId) -> tuple[bool, ElementId]:
 
 def sorted_ids(ids: Iterable[ElementId]) -> tuple[ElementId, ...]:
     return tuple(sorted(ids, key=id_key))
+
+
+# The exact types of valid ids, for C-level scans such as set(map(type, xs)) <= _ID_TYPES.
+_ID_TYPES = frozenset((str, int))
 
 
 def _check_id(x: object) -> ElementId:
@@ -142,6 +147,24 @@ def _edge(edge: object) -> tuple[ElementId, ElementId]:
     return _check_id(edge[0]), _check_id(edge[1])
 
 
+def _edge_indices(edges: list, index: dict[ElementId, int]) -> list[tuple[int, int]]:
+    """Each edge as its endpoints' positions in ``index``.  C-level scans
+    check the shapes, id types and endpoints; only when one fails does the
+    per-edge loop run, to name the first offending edge."""
+    if (set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= _ID_TYPES):
+        try:
+            return [(index[a], index[b]) for a, b in edges]
+        except KeyError:
+            pass
+    for edge in edges:
+        a, b = _edge(edge)
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise ValidationError(f"edge endpoint {missing!r} not in carrier")
+    return [(index[a], index[b]) for a, b in edges]  # ids of str or int subclasses
+
+
 def _extremal(masks: Sequence[int], cand: int, S: int) -> int:
     """The bits i of ``cand`` with no bit of S in ``masks[i]``: over down
     masks the elements of cand minimal in S, over up masks the maximal ones."""
@@ -162,25 +185,26 @@ def build_poset(
     Kahn's algorithm finds a topological order and closes ``down`` on the
     way; ``up`` is then closed in reverse order, one OR per edge each.
     """
-    elems = [_check_id(e) for e in elements]
+    elems = list(elements)
+    types = set(map(type, elems))
+    if not types <= _ID_TYPES:
+        for e in elems:
+            _check_id(e)
     if not elems:
         raise EmptyCarrier("a poset needs a non-empty carrier")
     if len(set(elems)) != len(elems):
         counts = Counter(elems)
         dup = next(e for e in elems if counts[e] > 1)
         raise ValidationError(f"duplicate id {dup!r} in carrier")
-    order = sorted_ids(elems)
+    order = tuple(sorted(elems)) if len(types) == 1 else sorted_ids(elems)
     index = {e: i for i, e in enumerate(order)}
 
-    succ, pred = [0] * len(order), [0] * len(order)
-    for edge in strict_edges:
-        a, b = _edge(edge)
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise ValidationError(f"edge endpoint {missing!r} not in carrier")
+    succ: list[list[int]] = [[] for _ in order]
+    pred = [0] * len(order)
+    for a, b in set(_edge_indices(list(strict_edges), index)):
         if a != b:
-            succ[index[a]] |= 1 << index[b]
-            pred[index[b]] |= 1 << index[a]
+            succ[a].append(b)
+            pred[b] |= 1 << a
 
     up, down = [0] * len(order), [0] * len(order)
     waiting = [p.bit_count() for p in pred]
@@ -189,7 +213,7 @@ def build_poset(
     while ready:
         topo.append(i := ready.pop())
         below = down[i] | 1 << i  # final: every predecessor came first
-        for j in _indices(succ[i]):
+        for j in succ[i]:
             down[j] |= below
             waiting[j] -= 1
             if not waiting[j]:
@@ -204,7 +228,7 @@ def build_poset(
         u = next(_indices(pred[v] & left))
         raise CycleDetected(f"cycle through {order[u]!r} and {order[v]!r}")
     for i in reversed(topo):
-        for j in _indices(succ[i]):
+        for j in succ[i]:
             up[i] |= up[j] | 1 << j
     return FinitePoset(order, tuple(up), tuple(down))
 

@@ -115,6 +115,8 @@ def es_subsequence(s: IntSeq, m: int, n: int, cap: int = DEFAULT_ORACLE_CAP) -> 
 
     The underlying witness may be longer; it is truncated to the promised
     length keeping the earliest positions, so outputs are reproducible."""
+    if m < 0 or n < 0:
+        raise WrongCardinality("m and n must be non-negative")
     if len(s) != m * n + 1:
         raise WrongCardinality(f"sequence has {len(s)} values, expected m*n+1 = {m * n + 1}")
     found = pre_es(seq_to_poset(s), m, n, cap)

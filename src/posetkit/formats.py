@@ -3,21 +3,30 @@
 Instances and certificates are JSON.  Serialization is canonical: dictionary
 keys are sorted, sets appear as id-sorted lists, and covers list their chains
 by smallest element, so identical inputs always produce identical bytes and
-certificates stay diffable.  Each certificate kind is one row of
-:data:`CERTIFICATE_KINDS`; the CLI's commands and :func:`verify_certificate`
-both read that table.  The matching and SDR kinds, Hall's theorem on a graph
-and on a set family, share one encoder and one violation re-check.
+certificates stay diffable.  The encoder is hand-written for the few types
+certificates hold, because ``json.dumps`` with ``indent`` runs in pure
+Python; a test pins its output to ``json.dumps(obj, sort_keys=True,
+indent=2)`` byte for byte.  Ids are checked by C-level type scans, and a
+per-item loop runs only to name the first bad one.
+
+Each certificate kind is one row of :data:`CERTIFICATE_KINDS`; the CLI's
+commands and :func:`verify_certificate` both read that table.  The matching
+and SDR kinds, Hall's theorem on a graph and on a set family, share one
+encoder and one violation re-check.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping
 
 from .core import (
     ElementId,
     FinitePoset,
+    _ID_TYPES,
     _ids,
     build_poset,
     id_key,
@@ -70,12 +79,17 @@ class Instance:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValidationError(f"duplicate key {key!r} in object")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r} in object")
+            seen.add(key)
     return out
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys)
 
 
 def _load_json(data: bytes | str) -> Any:
@@ -85,7 +99,9 @@ def _load_json(data: bytes | str) -> Any:
         except UnicodeDecodeError as e:
             raise ParseError(f"input is not UTF-8: {e}") from None
     try:
-        return json.loads(data, object_pairs_hook=_reject_duplicate_keys)
+        if data.startswith("\ufeff"):  # json.loads' own test, which decode() skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        return _DECODER.decode(data)
     except ValueError as e:  # JSONDecodeError, or an int past sys.get_int_max_str_digits()
         raise ParseError(f"input is not valid JSON: {e}") from None
 
@@ -103,7 +119,11 @@ def _list(value: Any, where: str) -> list[Any]:
 
 
 def _id_list(value: Any, where: str) -> list[ElementId]:
-    return [_id_entry(x, where) for x in _list(value, where)]
+    ids = _list(value, where)
+    if not set(map(type, ids)) <= _ID_TYPES:  # the loop names the first bad id
+        for x in ids:
+            _id_entry(x, where)
+    return ids
 
 
 def _id_set(value: Any, where: str) -> frozenset[ElementId]:
@@ -117,9 +137,10 @@ def _pair_list(value: Any, where: str) -> list[list[Any]]:
     """A list of [from, to] pairs, their ids not yet checked."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list of pairs")
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError(f"{where}[{i}]: expected a [from, to] pair")
+    if not (set(map(type, value)) <= {list} and set(map(len, value)) <= {2}):
+        for i, entry in enumerate(value):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValidationError(f"{where}[{i}]: expected a [from, to] pair")
     return value
 
 
@@ -188,7 +209,33 @@ def parse_instance(data: bytes | str) -> Instance:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, and a
+    newline.  Certificates hold str-keyed dicts, lists, str, int and bool;
+    any other type raises TypeError."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj: Any, pad: str) -> str:
+    """``obj`` with its items on lines that start with ``pad`` plus two spaces."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = pad + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _ids_out(s: Iterable[ElementId]) -> list[ElementId]:
@@ -377,9 +424,12 @@ def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str
             nbrs[u].add(v)
         not_left = "violating set is not a set of left vertices"
         return _verify_violation(cert["violation"], nbrs, not_left, not_left)
-    pairs = [(_id_entry(a, f"pairs[{i}]"), _id_entry(b, f"pairs[{i}]"))
-             for i, (a, b) in enumerate(_pair_list(_field(cert, "pairs"), "pairs"))]
-    if not verify_matching(G, pairs, require_L_perfect=True):
+    pairs = _pair_list(_field(cert, "pairs"), "pairs")
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= _ID_TYPES:
+        for i, pair in enumerate(pairs):
+            for x in pair:
+                _id_entry(x, f"pairs[{i}]")
+    if not verify_matching(G, map(tuple, pairs), require_L_perfect=True):
         return False, "pairs are not an L-perfect matching"
     return True, "ok"
 

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetkit
 from posetkit import find_sdr, formats, oracle
@@ -119,6 +121,134 @@ def test_parse_rejects_non_id_elements_and_endpoints(tmp_path, capsys, place, ba
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _bad_inputs():
+    """(argv, instance bytes, certificate bytes or None) for inputs that
+    break one rule or two; with two, the diagnostic names the earlier."""
+    dump = lambda doc: json.dumps(doc).encode()
+    poset = lambda elements, edges: dump({"kind": "poset", "elements": elements, "edges": edges})
+    bigraph = lambda left, right, edges: dump({"kind": "bigraph", "left": left, "right": right,
+                                               "edges": edges})
+    family = lambda members: dump({"kind": "family", "members": members})
+    p3, k22, fam = dump(P3), dump(K22), dump(FAMILY)
+    runs = [
+        (["width"], b"\xef\xbb\xbf" + p3, None),
+        (["verify"], p3, b"\xef\xbb\xbf" + dump({"kind": "width", "size": 2, "witness": ["a", "c"]})),
+        (["width"], b'{"kind": "poset", "elements": ["\xff"], "edges": []}', None),
+        (["width"], b'{"kind": "poset", "kind": "poset", "elements": ["a"], "edges": []}', None),
+        (["sdr"], b'{"kind": "family", "members": {"S": ["x"], "T": ["y"], "S": ["z"]}}', None),
+        (["sdr"], b'{"kind": "family", "kind": "family", "members": {"S": ["x"], "S": ["y"]}}', None),
+        (["verify"], p3, b'{"kind": "width", "size": 2, "witness": ["a", "c"],'
+                         b' "meta": {"x": 1, "y": 2, "x": 3}}'),
+    ]
+    for edges in ([["a", "b"], ["a"]], [["a", "b"], ["b", "c"], ["a", "b", "c"]], ["ab"], [5],
+                  [["a", "b"], {"a": "b"}], {"a": "b"}, [[]], [["a", "b"], ["c", "zz"], ["c"]]):
+        runs.append((["width"], poset(["a", "b", "c"], edges), None))
+        runs.append((["matching"], bigraph(["a", "c"], ["b"], edges), None))
+        runs.append((["verify"], k22, dump({"kind": "matching", "pairs": edges})))
+    for bad in BAD_IDS:
+        runs += [
+            (["width"], poset(["a", bad, "b"], []), None),
+            (["width"], poset(["a", "b"], [["a", "b"], [bad, "a"]]), None),
+            (["width"], poset(["a", "b"], [["a", "b"], ["a", bad]]), None),
+            (["matching"], bigraph(["l", bad], ["r"], []), None),
+            (["matching"], bigraph(["l"], ["r", bad], []), None),
+            (["matching"], bigraph(["l"], ["r"], [["l", "r"], [bad, "r"]]), None),
+            (["matching"], bigraph(["l"], ["r"], [["l", "r"], ["l", bad]]), None),
+            (["sdr"], family({"S": ["x"], "T": ["y", bad]}), None),
+            (["verify"], p3, dump({"kind": "width", "size": 2, "witness": ["a", bad]})),
+            (["verify"], p3, dump({"kind": "chain-cover", "width": 2, "antichain": ["a", "c"],
+                                   "cover": [["a", "b"], ["c", bad]]})),
+            (["verify"], k22, dump({"kind": "matching", "pairs": [["l1", "r1"], ["l2", bad]]})),
+            (["verify"], fam, dump({"kind": "sdr", "violation": {"set": ["S1", bad], "deficiency": 1}})),
+            (["verify"], fam, dump({"kind": "sdr", "choice": {"S1": "x", "S2": bad, "S3": "z"}})),
+        ]
+    runs += [
+        (["width"], poset(["a", "b"], [["a", "b"], ["b", "zz"]]), None),
+        (["width"], poset(["a", "b"], [["zz", "a"]]), None),
+        (["width"], poset([1, 2, "a"], [[1, 2], [2, "2"]]), None),
+        (["width"], poset(["a", "b"], [["a", "b"], ["b", "a"]]), None),
+        (["width"], poset(["a", "b", "c"], [["a", "b"], ["b", "c"], ["c", "a"]]), None),
+        (["width"], poset(["a", "b", "c"], [["a", "a"], ["b", "c"], ["c", "b"]]), None),
+        (["width"], poset([3, "b", 1, "a"], [[3, "b"], [1, 3], ["a", "b"]]), None),
+        (["matching"], bigraph(["l"], ["r"], [["r", "l"]]), None),
+        (["matching"], bigraph(["l"], ["r"], [["l", "zz"]]), None),
+        # two faults: the earlier one is named
+        (["width"], poset(["a", True, 1.5], []), None),
+        (["width"], poset(["a", None], [["a", True]]), None),
+        (["width"], poset(["a", "a"], [["a", True]]), None),
+        (["width"], poset(["a", "b"], [["a", "zz"], ["a", True]]), None),
+        (["width"], poset(["a", "b"], [["a", True], ["a", "zz"]]), None),
+        (["width"], poset(["a", "b"], [["a", "zz"], ["b", "a"], ["a", "b"]]), None),
+        (["width"], poset(["a", "b"], [["a", 1.5], ["x"]]), None),
+        (["width"], poset(["a", "b"], [[None, "zz"]]), None),
+        (["width"], poset(["a", "b"], [["zz", None]]), None),
+        (["matching"], bigraph(["l", True], ["r", 1.5], []), None),
+        (["matching"], bigraph(["l"], ["r"], [["l", "zz"], [True, "r"]]), None),
+        (["matching"], bigraph(["l"], ["r"], [["zz", True]]), None),
+        (["sdr"], family({"S": [True], "T": [1.5]}), None),
+        (["sdr"], family({"S": ["x", "x"], "T": [None]}), None),
+        (["verify"], k22, dump({"kind": "matching", "pairs": [["l1", True], ["l2"]]})),
+        (["verify"], k22, dump({"kind": "matching", "pairs": [[None, "r1"], ["l2", True]]})),
+    ]
+    return runs
+
+
+# sha256 of the exit code and stderr of every run of ``_bad_inputs()``,
+# written while every id was checked by a per-item loop.
+DIAGNOSTICS_SHA256 = "bb951ea0b7da04403cdd4dc4edaa3d6ae665453866dd8c9686ed450bd3229e56"
+
+
+def test_diagnostics_of_bad_inputs_are_unchanged(tmp_path, capsys):
+    digest = hashlib.sha256()
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    runs = _bad_inputs()
+    for argv, inst_bytes, cert_bytes in runs:
+        inst.write_bytes(inst_bytes)
+        paths = [str(inst)]
+        if cert_bytes is not None:
+            cert.write_bytes(cert_bytes)
+            paths.append(str(cert))
+        code = run_command(argv[:1] + paths + argv[1:])
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code == 2), (argv, inst_bytes, cert_bytes, err)
+        digest.update(repr((code, err)).encode())
+    assert len(runs) == 108
+    assert digest.hexdigest() == DIAGNOSTICS_SHA256
+
+
+# Strings mixing non-ASCII, quotes, backslashes, control characters and lone surrogates.
+JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'))
+JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200).map(lambda x: -x)
+    | st.integers(min_value=2**64) | JSON_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=20)
+
+
+def _reference_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_writes_what_json_dumps_writes(obj):
+    assert formats.canonical_json(obj) == _reference_json(obj)
+
+
+def test_canonical_json_of_deep_nesting_and_empty_containers():
+    deep = {"a": []}
+    for i in range(200):
+        deep = [{}, {"k": deep, "": [[]]}] if i % 2 else {"z": deep, "y": [i, {}]}
+    assert formats.canonical_json(deep) == _reference_json(deep)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": 1, 2: "b"}, None,
+                                 {"a": [1, {"b": 0.5}]}, ["a", ("b",)]], ids=repr)
+def test_canonical_json_rejects_what_certificates_do_not_hold(obj):
+    with pytest.raises(TypeError):
+        formats.canonical_json(obj)
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -197,8 +327,11 @@ def test_es_command(tmp_path, capsys):
      "duplicate vertex id within a part"),
     (["matching"], {"kind": "bigraph", "left": ["l"], "right": ["r"], "edges": [["l", "l"]]}, None,
      "edge target 'l' is not a right vertex"),
+    (["es", "-m", "-1", "-n", "-3"], {"kind": "sequence", "values": [1, 2, 3]}, None,
+     "m and n must be non-negative"),
 ], ids=["instance-not-object", "members-not-object", "member-repeats-an-id",
-        "values-not-list", "certificate-not-object", "part-repeats-a-vertex", "edge-target-not-right"])
+        "values-not-list", "certificate-not-object", "part-repeats-a-vertex", "edge-target-not-right",
+        "es-negative-m-or-n"])
 def test_each_validation_branch_exits_2_with_one_line(tmp_path, capsys, argv, payload, cert, message):
     argv = argv[:1] + [write(tmp_path, "inst.json", payload)] + argv[1:]
     if cert is not None:

@@ -295,3 +295,17 @@ def test_mixed_id_types_sort_deterministically():
     P = build_poset([3, "a", 1, "b"], {(1, "a")})
     assert P.elements == (1, 3, "a", "b")
     assert minimal_below(P, "a") == 1
+
+
+def test_ids_and_edges_of_subclasses_build_the_plain_poset():
+    class Name(str):
+        pass
+
+    class Num(int):
+        pass
+
+    class Pair(tuple):
+        pass
+
+    P = build_poset([Num(3), Name("a"), 1, "b"], [Pair((1, Name("a"))), (Num(3), "b"), ["a", "b"]])
+    assert P == build_poset([3, "a", 1, "b"], [(1, "a"), (3, "b"), ["a", "b"]])
