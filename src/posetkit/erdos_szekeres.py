@@ -119,6 +119,7 @@ def es_subsequence(s: IntSeq, m: int, n: int, cap: int = DEFAULT_ORACLE_CAP) -> 
         raise WrongCardinality("m and n must be non-negative")
     if len(s) != m * n + 1:
         raise WrongCardinality(f"sequence has {len(s)} values, expected m*n+1 = {m * n + 1}")
+    _require_cap(len(s), cap, "width")  # pre_es' check, before seq_to_poset builds O(len(s)²) pairs
     found = pre_es(seq_to_poset(s), m, n, cap)
     target = m + 1 if found.kind == CHAIN else n + 1
     ordered = [v for v in s.items if v in found.elements]

@@ -32,7 +32,6 @@ from .core import (
     id_key,
     is_antichain,
     is_chain,
-    member_key,
     sorted_ids,
     verify_antichain_cover,
     verify_chain_cover,
@@ -242,9 +241,9 @@ def _ids_out(s: Iterable[ElementId]) -> list[ElementId]:
     return list(sorted_ids(s))
 
 
-def _cover_out(cover: Iterable[frozenset[ElementId]], keep_order: bool = False) -> list[list[ElementId]]:
-    members = list(cover) if keep_order else sorted(cover, key=member_key)
-    return [_ids_out(m) for m in members]
+def _cover_out(cover: Iterable[frozenset[ElementId]]) -> list[list[ElementId]]:
+    """Members in the solver's order: Perles' chains by smallest element, Mirsky's layers as peeled."""
+    return [_ids_out(m) for m in cover]
 
 
 def _pairs_out(pairs: Iterable[tuple[ElementId, ElementId]]) -> list[list[ElementId]]:
@@ -279,7 +278,7 @@ def antichain_cover_certificate(cert: MirskyCertificate) -> dict[str, Any]:
         "kind": "antichain-cover",
         "height": cert.height,
         "chain": _ids_out(cert.chain_witness),
-        "layers": _cover_out(cert.layers, keep_order=True),
+        "layers": _cover_out(cert.layers),
         "meta": {"algorithm": "maximal-layer-peel", "tie_break": TIE_BREAK},
     }
 
@@ -429,7 +428,7 @@ def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str
         for i, pair in enumerate(pairs):
             for x in pair:
                 _id_entry(x, f"pairs[{i}]")
-    if not verify_matching(G, map(tuple, pairs), require_L_perfect=True):
+    if not verify_matching(G, map(tuple, pairs)):
         return False, "pairs are not an L-perfect matching"
     return True, "ok"
 
@@ -444,12 +443,13 @@ def _verify_sdr(family: SetFamily, cert: dict[str, Any]) -> tuple[bool, str]:
     by_name = _by_name(family)
     if set(choice) != set(by_name):
         return False, "choice does not name every member exactly once"
-    picked = []
+    scanned = set(map(type, choice.values())) <= _ID_TYPES  # else each value is checked before it is hashed
     for name, value in choice.items():
-        if _id_entry(value, f"choice[{name!r}]") not in family[by_name[name]]:
+        if not scanned:
+            _id_entry(value, f"choice[{name!r}]")
+        if value not in family[by_name[name]]:
             return False, f"choice for {name!r} is not in the member set"
-        picked.append(value)
-    if len(set(picked)) != len(picked):
+    if len(set(choice.values())) != len(choice):
         return False, "representatives are not pairwise distinct"
     return True, "ok"
 

@@ -4,10 +4,11 @@ A bipartite graph is read as a height-two poset (reflexive closure of the
 left-to-right edges).  When every left subset has enough neighbors, the right
 part is a maximum antichain, the chain-cover solver partitions the poset into
 |R| chains, and the two-element chains among them are a left-perfect matching.
-One Kuhn matching decides Hall's condition and seeds the solver's top frame
-(Fulkerson's reduction); each of its links y -> x pairs a left vertex x with
-the right vertex y above it.  The set-family form (systems of distinct
-representatives) builds the same masks over int vertex ids.
+Graphs and set families (systems of distinct representatives) run one routine
+on their graph poset: one Kuhn matching decides Hall's condition and seeds the
+solver's top frame (Fulkerson's reduction), each of its links y -> x pairs a
+left vertex x with the right vertex y above it, and when the matching misses a
+left vertex the left ``up`` masks are searched for the smallest violation.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .core import ElementId, FinitePoset, _check_id, _edge, _indices, id_key, sorted_ids
+from .core import ElementId, FinitePoset, _check_id, _edge, id_key, sorted_ids
 from .dilworth import _max_matching, _perles_cover, _top_frame
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP, _require_cap
@@ -89,27 +90,6 @@ def neighborhood(G: BipartiteGraph, S: AbstractSet[ElementId]) -> frozenset[Elem
     return frozenset(v for (u, v) in G.edges if u in S)
 
 
-def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
-    """None when every left subset S has |N(S)| >= |S|; otherwise the
-    smallest violating subset (lexicographically first among those)."""
-    n = len(G.left)
-    if n > cap:
-        raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
-    index, rindex = {u: i for i, u in enumerate(G.left)}, {v: j for j, v in enumerate(G.right)}
-    nbr = [0] * n  # each left vertex's neighbours as a mask over right indices
-    for (u, v) in G.edges:
-        nbr[index[u]] |= 1 << rindex[v]
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            seen = 0
-            for i in combo:
-                seen |= nbr[i]
-            found = seen.bit_count()
-            if found < k:
-                return Violation(frozenset(G.left[i] for i in combo), k - found)
-    return None
-
-
 def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
     """The height-two poset whose order is the reflexive closure of the edges.
     Edges run only from left to right, so they are closed as they stand: the
@@ -123,9 +103,15 @@ def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
     return FinitePoset(elements, tuple(up), tuple(down))
 
 
-def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]], require_L_perfect: bool) -> bool:
-    """Check pairs are edges, endpoints are disjoint, and (optionally) every
-    left vertex is matched."""
+def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
+    """None when every left subset S has |N(S)| >= |S|; otherwise the
+    smallest violating subset (lexicographically first among those)."""
+    P = graph_to_poset(G)
+    return _violation(P.up, [i for i, e in enumerate(P.elements) if e in G.left_set], P.elements, cap)
+
+
+def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]]) -> bool:
+    """Check pairs are edges, endpoints are disjoint, and every left vertex is matched."""
     pairs = list(M)  # a pair listed twice shares its endpoints
     if not set(pairs) <= G.edges:
         return False
@@ -133,22 +119,41 @@ def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]],
     rights = [v for (_, v) in pairs]
     if len(set(lefts)) != len(pairs) or len(set(rights)) != len(pairs):
         return False
-    if require_L_perfect and set(lefts) != G.left_set:
-        return False
-    return True
+    return set(lefts) == G.left_set
 
 
-def _matching_links(P: FinitePoset, n_left: int, oracle_cap: int) -> dict[int, int] | None:
-    """Perles' links y -> x (left x below right y) on graph poset P; None if Kuhn misses a left vertex."""
+def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId], cap: int) -> Violation | None:
+    """The smallest subset of the ascending ``left`` indices, first in ``combinations`` order,
+    whose ``up`` masks cover fewer vertices than it has members, named by ``names``."""
+    n = len(left)
+    if n > cap:
+        raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
+    for k in range(1, n + 1):
+        for combo in combinations(left, k):
+            seen = 0
+            for i in combo:
+                seen |= up[i]
+            found = seen.bit_count()
+            if found < k:
+                return Violation(frozenset(names[i] for i in combo), k - found)
+    return None
+
+
+def _hall(P: FinitePoset, left: Sequence[int], names: Sequence[ElementId], subset_cap: int,
+          oracle_cap: int) -> list[tuple[ElementId, ElementId]] | Violation:
+    """On graph poset P, each left vertex x named with the right vertex y above it
+    as (names[x], names[y]); the smallest violation when Kuhn misses a left vertex."""
     matching = _max_matching(P.up)
-    if len(matching) < n_left:
-        return None
+    if len(matching) < len(left):
+        bad = _violation(P.up, left, names, subset_cap)
+        assert bad is not None
+        return bad
     _require_cap(len(P), oracle_cap, "perles_chain_cover")
     links, _ = _perles_cover(P, _top_frame(P, matching))  # checks its partition
     # The partition asserts make each chain a vertex or an edge, so |L| links match every
-    # left vertex once on disjoint edges: all verify_matching(..., require_L_perfect=True) checked.
-    assert len(links) == n_left
-    return links
+    # left vertex once on disjoint edges: all that verify_matching checks.
+    assert len(links) == len(left)
+    return [(names[x], names[y]) for y, x in links.items()]
 
 
 def find_L_perfect_matching(
@@ -165,12 +170,9 @@ def find_L_perfect_matching(
     Construction: chain-cover the graph poset, which partitions it into |R|
     chains of at most two elements; its |L| links, left below right, are the pairs."""
     P = graph_to_poset(G)
-    links = _matching_links(P, len(G.left), oracle_cap)
-    if links is None:
-        bad = hall_condition(G, subset_cap)
-        assert bad is not None
-        return bad
-    return frozenset((P.elements[x], P.elements[y]) for y, x in links.items())
+    left = [i for i, e in enumerate(P.elements) if e in G.left_set]
+    out = _hall(P, left, P.elements, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else frozenset(out)
 
 
 def find_sdr(
@@ -183,8 +185,7 @@ def find_sdr(
     whose union is smaller than it.
 
     Names and elements may share ids, so element j becomes vertex j and member
-    i vertex len(ground) + i, whose ``up`` mask is its elements; a
-    ``BipartiteGraph`` is built only for ``hall_condition``, when there is none."""
+    i vertex len(ground) + i, whose ``up`` mask is its elements."""
     names = sorted(family, key=id_key)
     if not names:
         return {}
@@ -201,12 +202,5 @@ def find_sdr(
             up[i] |= 1 << vertex[x]
             down[vertex[x]] |= 1 << i
     P = FinitePoset(tuple(range(len(back))), tuple(up), tuple(down))
-    links = _matching_links(P, len(names), oracle_cap)
-    if links is None:
-        left = range(len(ground), len(back))
-        G = BipartiteGraph(tuple(left), tuple(range(len(ground))),
-                           frozenset((i, j) for i in left for j in _indices(up[i])))
-        bad = hall_condition(G, subset_cap)
-        assert bad is not None
-        return Violation(frozenset(back[u] for u in bad.members), bad.deficiency)
-    return {back[x]: back[y] for y, x in links.items()}
+    out = _hall(P, range(len(ground), len(back)), back, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else dict(out)

@@ -185,7 +185,7 @@ def test_criterion_5_hall_equivalence():
                     == result.deficiency
             else:
                 assert condition_ok
-                assert verify_matching(G, result, require_L_perfect=True)
+                assert verify_matching(G, result)
 
 
 def test_criterion_6_sdr_agreement():

@@ -688,6 +688,28 @@ def test_verify_sdr_rejects_repeated_representative(tmp_path, capsys):
     assert code == 1 and out["valid"] is False
 
 
+def test_verify_sdr_names_a_choice_outside_its_member_before_a_later_bad_id(tmp_path, capsys):
+    # S2's value is not an id, but S1's verdict comes first, as the loop meets it
+    fam = write(tmp_path, "f.json", FAMILY)
+    forged = write(tmp_path, "c.json", {"kind": "sdr", "choice": {"S1": "z", "S2": True, "S3": "z"}})
+    code, out = run(tmp_path, capsys, "verify", fam, forged)
+    assert code == 1 and out["detail"] == "choice for 'S1' is not in the member set"
+
+
+@pytest.mark.parametrize("command,kind", [("width", "width"), ("height", "height"),
+                                          ("check-dilworth", "width"), ("check-mirsky", "height")])
+def test_verify_fails_a_certificate_whose_dual_fails_its_check(tmp_path, capsys, monkeypatch, command, kind):
+    inst = write(tmp_path, "p3.json", P3)
+    assert run_command([command, inst]) == 0
+    cert = tmp_path / "c.json"
+    cert.write_text(capsys.readouterr().out)
+    # neither dual covers b and c
+    monkeypatch.setattr(formats, "_kuhn_chains", lambda P: [frozenset({"a"})])
+    monkeypatch.setattr(formats, "_layers", lambda P: [1])
+    code, out = run(tmp_path, capsys, "verify", inst, str(cert))
+    assert code == 1 and out["detail"] == f"the {kind} dual failed its check"
+
+
 def test_verify_sdr_with_integer_member_names():
     family = {1: frozenset({"x"}), 2: frozenset({"x", "y"})}
     cert = formats.sdr_certificate(find_sdr(family), minimality_checked=True)

@@ -15,6 +15,7 @@ from posetkit import (
     DECREASING,
     INCREASING,
     SubseqWitness,
+    erdos_szekeres,
     es_subsequence,
     height,
     is_antichain,
@@ -141,6 +142,19 @@ def test_es_subsequence_examples():
     assert w.kind == DECREASING and w.subsequence.items == (2, 1)
     w = es_subsequence(seq_from_list([1, 2]), 1, 1)
     assert w.kind == INCREASING and w.subsequence.items == (1, 2)
+
+
+def test_es_subsequence_refuses_an_over_cap_sequence_before_building_its_poset(monkeypatch):
+    def no_poset(s):
+        raise AssertionError("seq_to_poset ran on an over-cap sequence")
+
+    monkeypatch.setattr(erdos_szekeres, "seq_to_poset", no_poset)
+    s = seq_from_list(random.Random(5).sample(range(10_000), 3001))
+    with pytest.raises(InstanceTooLarge, match=r"^width: instance has 3001 elements, cap is 20 "
+                                               r"\(raise it with --oracle-cap\)$"):
+        es_subsequence(s, 60, 50)
+    with pytest.raises(WrongCardinality):  # the cardinality is still checked first
+        es_subsequence(s, 60, 49)
 
 
 def test_es_subsequence_wrong_cardinality():

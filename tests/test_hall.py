@@ -147,11 +147,11 @@ def test_find_matching_examples(k22, thin):
 
 
 def test_verify_matching(k22):
-    assert verify_matching(k22, {("l1", "r1"), ("l2", "r2")}, True)
-    assert not verify_matching(k22, {("l1", "r1"), ("l2", "r1")}, False)
-    assert not verify_matching(k22, {("l1", "r1")}, True)
-    assert verify_matching(k22, {("l1", "r1")}, False)
-    assert not verify_matching(k22, {("l1", "zzz")}, False)
+    assert verify_matching(k22, {("l1", "r1"), ("l2", "r2")})
+    assert not verify_matching(k22, {("l1", "r1"), ("l2", "r1")})
+    assert not verify_matching(k22, {("l1", "r1")})  # a matching, but l2 is unmatched
+    assert not verify_matching(k22, [("l1", "r1"), ("l1", "r1"), ("l2", "r2")])
+    assert not verify_matching(k22, {("l1", "zzz"), ("l2", "r2")})
 
 
 def test_matching_equivalence_exhaustive_2x2():
@@ -169,7 +169,7 @@ def test_matching_equivalence_exhaustive_2x2():
         else:
             assert hall_condition(G) is None
             assert ref_matching_exists(G)
-            assert verify_matching(G, result, require_L_perfect=True)
+            assert verify_matching(G, result)
 
 
 def test_matching_equivalence_random():
@@ -181,7 +181,7 @@ def test_matching_equivalence_random():
             assert not ref_matching_exists(G)
         else:
             assert ref_matching_exists(G)
-            assert verify_matching(G, result, require_L_perfect=True)
+            assert verify_matching(G, result)
 
 
 def test_find_sdr_examples():
@@ -248,18 +248,23 @@ def test_sdr_many_members_within_caps():
 
 
 def test_hall_condition_runs_only_without_an_L_perfect_matching(monkeypatch):
+    # the solvers run hall_condition's search, hall._violation, and only on a failed matching
     calls = []
+    search = hall._violation
 
-    def counting(G, cap):
-        calls.append(G)
-        assert not ref_matching_exists(G)
-        return hall_condition(G, cap)
+    def counting(up, left, names, cap):
+        calls.append(left)
+        return search(up, left, names, cap)
 
-    monkeypatch.setattr(hall, "hall_condition", counting)
+    monkeypatch.setattr(hall, "_violation", counting)
     rng = random.Random(15)
     graphs = [random_bigraph(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)]
-    results = [find_L_perfect_matching(G) for G in graphs]
-    assert sum(isinstance(r, Violation) for r in results) == len(calls) > 0
+    violations = 0
+    for G in graphs:
+        calls.clear()
+        violations += isinstance(find_L_perfect_matching(G), Violation)
+        assert len(calls) == (0 if ref_matching_exists(G) else 1), G
+    assert violations > 0
 
 
 def test_subset_cap_bounds_only_the_violation_search(thin):
