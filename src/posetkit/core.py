@@ -61,7 +61,7 @@ def canonical_cover(members: Iterable[AbstractSet[ElementId]]) -> ChainCover:
     return tuple(sorted((frozenset(m) for m in members), key=member_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FinitePoset:
     """An immutable finite partial order.
 

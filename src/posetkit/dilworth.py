@@ -119,8 +119,7 @@ the promise needs: the input is a chain cover and no chain is emptied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import oracle
 from .core import (
@@ -142,8 +141,7 @@ from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 PRUNE_MIN_WIDTH = 10
 
 
-@dataclass(frozen=True)
-class DilworthCertificate:
+class DilworthCertificate(NamedTuple):
     """A matched pair proving optimality in both directions: an antichain of
     ``width`` elements shows no cover can be smaller, and a valid cover of
     ``width`` chains shows none larger is needed."""
@@ -153,8 +151,7 @@ class DilworthCertificate:
     cover: ChainCover
 
 
-@dataclass(frozen=True)
-class DilworthReport:
+class DilworthReport(NamedTuple):
     width: int
     cover_size: int
     equal: bool

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import ElementId, FinitePoset, _ids, build_poset, member_key
+from .core import ElementId, FinitePoset, _ids, member_key
 from .dilworth import _cover_from_top, _max_matching, _top_frame
 from .errors import (
     DuplicateValue,
@@ -54,16 +55,14 @@ class IntSeq:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class PosetWitness:
+class PosetWitness(NamedTuple):
     """Either a chain or an antichain, as tagged solver output."""
 
     kind: str  # CHAIN or ANTICHAIN
     elements: frozenset[ElementId]
 
 
-@dataclass(frozen=True)
-class SubseqWitness:
+class SubseqWitness(NamedTuple):
     kind: str  # INCREASING or DECREASING
     subsequence: IntSeq
 
@@ -75,14 +74,17 @@ def seq_from_list(xs: list[int] | tuple[int, ...]) -> IntSeq:
 
 def seq_to_poset(s: IntSeq) -> FinitePoset:
     """Order x below y when x comes earlier and is numerically smaller.  Both
-    constituent orders are transitive, so the strict part already is."""
-    edges = {
-        (x, y)
-        for i, x in enumerate(s.items)
-        for y in s.items[i + 1 :]
-        if x < y
-    }
-    return build_poset(s.values, edges)
+    constituent orders are transitive, so the strict part already is: one pass
+    builds the masks over the value ranks, with no pair set to close."""
+    elements = tuple(sorted(s.items))
+    rank = {v: r for r, v in enumerate(elements)}
+    up, down = [0] * len(elements), [0] * len(elements)
+    later = (1 << len(elements)) - 1  # the ranks at this position or after it
+    for v in s.items:
+        r = rank[v]
+        later ^= 1 << r  # now only after it, so the smaller ranks missing come before it
+        up[r], down[r] = later >> r << r, ~later & (1 << r) - 1
+    return FinitePoset(elements, tuple(up), tuple(down))
 
 
 def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> PosetWitness:
@@ -119,7 +121,7 @@ def es_subsequence(s: IntSeq, m: int, n: int, cap: int = DEFAULT_ORACLE_CAP) -> 
         raise WrongCardinality("m and n must be non-negative")
     if len(s) != m * n + 1:
         raise WrongCardinality(f"sequence has {len(s)} values, expected m*n+1 = {m * n + 1}")
-    _require_cap(len(s), cap, "width")  # pre_es' check, before seq_to_poset builds O(len(s)²) pairs
+    _require_cap(len(s), cap, "width")  # pre_es' check, before seq_to_poset builds O(len(s)²) mask bits
     found = pre_es(seq_to_poset(s), m, n, cap)
     target = m + 1 if found.kind == CHAIN else n + 1
     ordered = [v for v in s.items if v in found.elements]

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .core import (
     ElementId,
@@ -69,8 +68,7 @@ INSTANCE_KINDS = (POSET, BIGRAPH, FAMILY, SEQUENCE)
 TIE_BREAK = "lexicographic-id"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A parsed, validated input: ``data`` is the domain object for ``kind``."""
 
     kind: str
@@ -285,7 +283,7 @@ def antichain_cover_certificate(cert: MirskyCertificate) -> dict[str, Any]:
 
 def report_certificate(report: DilworthReport | MirskyReport) -> dict[str, Any]:
     kind = "dilworth-report" if isinstance(report, DilworthReport) else "mirsky-report"
-    return {"kind": kind, **asdict(report)}
+    return {"kind": kind, **report._asdict()}
 
 
 def _hall_certificate(kind: str, result: Any, key: str, answer: Callable[[Any], Any],
@@ -486,8 +484,7 @@ def _solve_sdr(family: SetFamily, args: Any) -> dict[str, Any]:
     return sdr_certificate(result, minimality_checked=checked)
 
 
-@dataclass(frozen=True)
-class CertificateKind:
+class CertificateKind(NamedTuple):
     """How one certificate kind is made and checked.
 
     ``command`` is the CLI subcommand that writes it and ``instance`` the

@@ -8,15 +8,15 @@ Graphs and set families (systems of distinct representatives) run one routine
 on their graph poset: one Kuhn matching decides Hall's condition and seeds the
 solver's top frame (Fulkerson's reduction), each of its links y -> x pairs a
 left vertex x with the right vertex y above it, and when the matching misses a
-left vertex the left ``up`` masks are searched for the smallest violation.
+left vertex the left ``up`` masks are searched for the smallest violation,
+skipping every branch that already has as many neighbors as the size it looks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ElementId, FinitePoset, _check_id, _edge, id_key, sorted_ids
 from .dilworth import _max_matching, _perles_cover, _top_frame
@@ -48,8 +48,7 @@ class BipartiteGraph:
         return frozenset(self.right)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A witness that Hall's condition fails: |N(members)| = |members| - deficiency."""
 
     members: frozenset[ElementId]
@@ -128,14 +127,19 @@ def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId
     n = len(left)
     if n > cap:
         raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
+    masks = [up[i] for i in left]
     for k in range(1, n + 1):
-        for combo in combinations(left, k):
-            seen = 0
-            for i in combo:
-                seen |= up[i]
-            found = seen.bit_count()
-            if found < k:
-                return Violation(frozenset(names[i] for i in combo), k - found)
+        # Depth-first in combinations order (positions pushed high to low); unions only grow,
+        # so a branch whose union has k vertices holds no violator of size k and is skipped.
+        stack = [((), 0)]  # (chosen positions, their union)
+        while stack:
+            chosen, seen = stack.pop()
+            if len(chosen) == k:
+                return Violation(frozenset(names[left[p]] for p in chosen), k - seen.bit_count())
+            for p in range(n - k + len(chosen), chosen[-1] if chosen else -1, -1):
+                union = seen | masks[p]
+                if union.bit_count() < k:
+                    stack.append((chosen + (p,), union))
     return None
 
 

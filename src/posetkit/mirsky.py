@@ -24,15 +24,14 @@ the lowest feasible index at each step gives the lexicographically first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .core import AntichainCover, ElementId, FinitePoset, _extremal, _ids, _indices, _union
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
-@dataclass(frozen=True)
-class MirskyCertificate:
+class MirskyCertificate(NamedTuple):
     """``layers`` in peel order (global maximals first); ``chain_witness`` has
     exactly one element per layer, proving the layer count is the height."""
 
@@ -41,8 +40,7 @@ class MirskyCertificate:
     layers: AntichainCover
 
 
-@dataclass(frozen=True)
-class MirskyReport:
+class MirskyReport(NamedTuple):
     height: int
     cover_size: int
     equal: bool

@@ -8,9 +8,8 @@ calls no other search here.  Ties break lexicographically on sorted ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     AntichainCover,
@@ -32,8 +31,7 @@ DEFAULT_COVER_CAP = 10
 DEFAULT_ENUM_CAP = 5
 
 
-@dataclass(frozen=True)
-class SizedWitness:
+class SizedWitness(NamedTuple):
     """A witness set together with its cardinality."""
 
     witness: frozenset[ElementId]

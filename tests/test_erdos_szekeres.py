@@ -68,6 +68,23 @@ def test_seq_to_poset_examples():
     assert P.lt(1, 3) and P.lt(2, 3) and not P.comparable(1, 2)
 
 
+def test_seq_to_poset_equals_the_closed_pair_set():
+    rng = random.Random(22)
+    for _ in range(500):
+        s = seq_from_list(rng.sample(range(-30, 30), rng.randint(1, 40)))
+        pairs = {(x, y) for i, x in enumerate(s.items) for y in s.items[i + 1:] if x < y}
+        assert seq_to_poset(s) == build_poset(s.values, pairs), s
+
+
+def test_seq_to_poset_builds_thousands_of_values_without_the_pair_set():
+    s = seq_from_list(random.Random(23).sample(range(10**6), 4000))
+    start = time.perf_counter()
+    P = seq_to_poset(s)
+    assert time.perf_counter() - start < 0.5
+    first, last = s.items[0], s.items[-1]
+    assert P.lt(first, last) == (first < last)
+
+
 def test_chains_are_increasing_antichains_decreasing():
     # exhaustively on all short permutations
     for n in range(1, 6):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -92,6 +93,37 @@ def test_hall_violation_is_minimal_and_lex_first():
     assert bad == Violation(frozenset({"l1", "l2"}), 1)
     G2 = build_bigraph(["l1", "l2"], ["r1"], [("l2", "r1")])
     assert hall_condition(G2) == Violation(frozenset({"l1"}), 1)
+
+
+def _ref_hall_condition(G):
+    """Every left subset by size, each size in ``combinations`` order of ``G.left``."""
+    nbrs = {u: {v for (x, v) in G.edges if x == u} for u in G.left}
+    for k in range(1, len(G.left) + 1):
+        for combo in combinations(G.left, k):
+            found = len(set().union(*(nbrs[u] for u in combo)))
+            if found < k:
+                return Violation(frozenset(combo), k - found)
+    return None
+
+
+def test_pruned_violation_search_matches_the_full_enumeration():
+    rng = random.Random(21)
+    violations = set()
+    for _ in range(200):
+        G = random_bigraph(rng, rng.randint(1, 12), rng.randint(1, 12))
+        bad = hall_condition(G)
+        assert bad == _ref_hall_condition(G), G
+        if bad is not None:
+            violations.add(len(bad.members))
+    assert len(violations) >= 4  # violators of several sizes, not only singletons
+
+
+def test_a_large_violator_is_found_without_the_full_enumeration():
+    # every proper subfamily has 19 > k elements, so each branch stops at its first member
+    family = {i: set(range(19)) for i in range(20)}
+    start = time.perf_counter()
+    assert find_sdr(family) == Violation(frozenset(range(20)), 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_graph_to_poset(k22):
