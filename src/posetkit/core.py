@@ -31,6 +31,10 @@ ChainCover = tuple[frozenset[ElementId], ...]
 AntichainCover = tuple[frozenset[ElementId], ...]
 
 
+# The exact types of valid ids, for C-level scans such as set(map(type, xs)) <= _ID_TYPES.
+_ID_TYPES = frozenset((str, int))
+
+
 def id_key(x: ElementId) -> tuple[bool, ElementId]:
     """Sort key giving one deterministic total order over mixed int/str ids
     (all ints precede all strings)."""
@@ -38,11 +42,10 @@ def id_key(x: ElementId) -> tuple[bool, ElementId]:
 
 
 def sorted_ids(ids: Iterable[ElementId]) -> tuple[ElementId, ...]:
-    return tuple(sorted(ids, key=id_key))
-
-
-# The exact types of valid ids, for C-level scans such as set(map(type, xs)) <= _ID_TYPES.
-_ID_TYPES = frozenset((str, int))
+    """``ids`` in ``id_key`` order; all-str or all-int ids sort as they are."""
+    xs = list(ids)
+    types = set(map(type, xs))
+    return tuple(sorted(xs, key=None if len(types) == 1 and types <= _ID_TYPES else id_key))
 
 
 def _check_id(x: object) -> ElementId:
@@ -196,7 +199,7 @@ def build_poset(
         counts = Counter(elems)
         dup = next(e for e in elems if counts[e] > 1)
         raise ValidationError(f"duplicate id {dup!r} in carrier")
-    order = tuple(sorted(elems)) if len(types) == 1 else sorted_ids(elems)
+    order = sorted_ids(elems)
     index = {e: i for i, e in enumerate(order)}
 
     succ: list[list[int]] = [[] for _ in order]

@@ -15,13 +15,14 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
-``width`` is the top frame alone: ``_top_frame`` takes the caller's maximum
-matching and computes the masks, m and the first size-m antichains, whose
-first is the width's witness.  ``perles_chain_cover`` goes on from there
-through ``_cover_from_top``, which ``pre_es`` calls with the frame its width
-came from.  Its mask-level part ``_perles_cover`` returns the links, which
-Hall's matchings read as their pairs.  The matching's n − m chains
-(``_kuhn_chains``) are the dual that ``verify`` checks a width claim against.
+``width`` is the top frame alone: ``_top_frame`` takes the order's masks and
+the caller's maximum matching and computes m and the first size-m
+antichains, whose first is the width's witness.  ``perles_chain_cover`` goes
+on through ``_cover_from_top``, which ``pre_es`` calls with the frame its
+width came from.  Its mask-level part ``_perles_links`` returns the checked
+links, which Hall's matchings read as their pairs, with no poset or chains.
+The matching's n − m chains (``_kuhn_chains``) are the dual that ``verify``
+checks a width claim against.
 
 A frame below the top with |S| <= m + 1 takes case 2 unsearched.  Once its
 isolated elements are dropped (below), such a carrier is empty or has
@@ -59,17 +60,17 @@ recursion without the strip; what goes is the search after each such peel,
 which could only find case 2.
 ``_top_frame`` keeps its isolated elements: its search runs once per call,
 its first antichain is also ``width``'s witness, which holds them, and
-stripping there would cost two ``_extremal`` passes before it on every
-poset, which the small ones pay for and the large ones do not win back.
+stripping there would need the extremal masks before it on every poset,
+which the small ones pay for and the large ones do not win back.
 
 Each frame carries the masks lo and hi of its carrier's minimal and maximal
 elements, so an antichain found is extremal exactly when it is lo or hi, and
 only the one a frame splits on has its up/down masks ORed.  The top frame
-reads them off the poset.  The half above a chosen antichain has it as its
-minimal elements (each element lies above one of it) and hi & half as its
-maximal ones (whatever lies above an element of the half is in it); the half
-below mirrors this.  After a peel of x and y only the bits of up[x] & S can
-have become minimal and only those of down[y] & S maximal.
+reads them off the order's masks.  The half above a chosen antichain has it
+as its minimal elements (each element lies above one of it) and hi & half as
+its maximal ones (whatever lies above an element of the half is in it); the
+half below mirrors this.  After a peel of x and y only the bits of up[x] & S
+can have become minimal and only those of down[y] & S maximal.
 
 Every piece a frame leaves has at most two elements (an isolated element, a
 peel's x < y, or an element its last peel leaves), so Perles records
@@ -81,7 +82,12 @@ is an interval of its final chain.  The halves of a split cover S and
 meet only in the chosen antichain (an element comparable to none of it would
 extend it; one above a and below b of it gives a < b), where their chains
 meet, so consecutive elements of a final chain lie in one piece.
-``_perles_cover`` checks the partition once, on masks.
+
+``_perles_links`` checks links, not chains: n − |links| = m = |witness|, the
+witness is an antichain, no two links share a lower end (the dict keys their
+upper ends) and each link y → x has y above x.  On a closed order that is
+the partition check: distinct ends make the links disjoint paths, n − |links|
+of them, antisymmetry rules out cycles and transitivity makes each a chain.
 
 The search is pruned by the chains Fulkerson's matching already gives: each
 matched x → y links x to the next element of its chain, so the matching of
@@ -161,7 +167,7 @@ def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     """Size (and witness) of a largest antichain: the first antichain of
     Perles' top frame, which is the lexicographically first."""
     oracle._require_cap(len(P), cap, "width")
-    _, m, found = _top_frame(P, _max_matching(P.up))
+    _, m, found = _top_frame(P.up, P.down, _max_matching(P.up))
     return SizedWitness(_ids(P, found[0]), m)
 
 
@@ -170,33 +176,31 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
     oracle._require_cap(len(P), cap, "perles_chain_cover")
-    return _cover_from_top(P, _top_frame(P, _max_matching(P.up)))
+    return _cover_from_top(P, _top_frame(P.up, P.down, _max_matching(P.up)))
 
 
 def _cover_from_top(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> DilworthCertificate:
     """Perles' certificate from the top frame ``_top_frame`` returned, so a
     caller that already holds it runs no second matching or search."""
     _, m, found = top
-    cover = sorted(_perles_cover(P, top)[1], key=lambda chain: chain & -chain)
+    cover = sorted(_chains(_perles_links(top), len(P)), key=lambda chain: chain & -chain)
     return DilworthCertificate(m, _ids(P, found[0]), tuple(_ids(P, c) for c in cover))
 
 
-def _perles_cover(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> tuple[dict[int, int], list[int]]:
-    """Perles' links y -> x from the top frame, and the m chains they make, checked, as masks."""
+def _perles_links(top: tuple[_Order, int, list[int]]) -> dict[int, int]:
+    """Perles' links y -> x from the top frame, checked as links (module docstring)."""
     order, m, found = top
-    full = (1 << len(P)) - 1
-    below = _perles(order, full, _extremal(P.down, full, full), _extremal(P.up, full, full),
-                    m, found, len(found) < 3)
-    cover = _chains(below, len(P))
-    # One check, on masks: an antichain of m, and m chains that partition P
-    # (chains sharing a bit would carry in their sum and lose bits).
-    _, _, comp, _ = order
+    up, down, comp, _ = order
+    lo = sum([1 << i for i, d in enumerate(down) if not d])
+    hi = sum([1 << i for i, u in enumerate(up) if not u])
+    below = _perles(order, (1 << len(up)) - 1, lo, hi, m, found, len(found) < 3)
+    # An antichain of m, and n - m links x < y with distinct ends: m chains that partition P.
     witness = found[0]
-    assert len(cover) == m == witness.bit_count()
-    assert not any(comp[i] & witness for i in _indices(witness))
-    assert sum(cover) == full and sum(chain.bit_count() for chain in cover) == len(P)
-    assert all(not chain & ~(comp[i] | 1 << i) for chain in cover for i in _indices(chain))
-    return below, cover
+    assert len(up) - len(below) == m == witness.bit_count()
+    assert not _union(comp, witness) & witness
+    assert len(set(below.values())) == len(below)
+    assert all(up[x] >> y & 1 for y, x in below.items())
+    return below
 
 
 # A chain cover laid out as bit fields: each element index's one bit in its
@@ -205,19 +209,22 @@ def _perles_cover(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> tuple[d
 _ChainSpace = tuple[list[int], list[int], int, int]
 # Perles' per-call masks: the strict up and down masks, their union, and the
 # chain space of the matching's chains (None below width PRUNE_MIN_WIDTH).
-_Order = tuple[tuple[int, ...], tuple[int, ...], list[int], "_ChainSpace | None"]
+_Order = tuple[Sequence[int], Sequence[int], list[int], "_ChainSpace | None"]
 
 
-def _top_frame(P: FinitePoset, matching: dict[int, int]) -> tuple[_Order, int, list[int]]:
-    """Perles' masks for P, its width m by Fulkerson's ``matching``, a maximum
-    one of ``P.up``, and the first three size-m antichains of P in search order."""
-    m = len(P) - len(matching)
-    comp = [u | d for u, d in zip(P.up, P.down)]
+def _top_frame(up: Sequence[int], down: Sequence[int],
+               matching: dict[int, int]) -> tuple[_Order, int, list[int]]:
+    """Perles' masks for the order with strict masks ``up`` and ``down``, its
+    width m by Fulkerson's ``matching``, a maximum one of ``up``, and the
+    first three size-m antichains in search order."""
+    n = len(up)
+    m = n - len(matching)
+    comp = [u | d for u, d in zip(up, down)]
     space = None
     if m >= PRUNE_MIN_WIDTH:
-        space = _chain_space(_chains(matching, len(P)), comp)
-    order = (P.up, P.down, comp, space)
-    return order, m, _antichains(order, (1 << len(P)) - 1, m)
+        space = _chain_space(_chains(matching, n), comp)
+    order = (up, down, comp, space)
+    return order, m, _antichains(order, (1 << n) - 1, m)
 
 
 def _max_matching(adj: Sequence[int]) -> dict[int, int]:

@@ -100,7 +100,7 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
     # One top frame gives the width and, in the chain case, starts the cover.
     _require_cap(len(P), cap, "width")
-    top = _top_frame(P, _max_matching(P.up))
+    top = _top_frame(P.up, P.down, _max_matching(P.up))
     _, m, found = top
     if m >= s + 1:
         return PosetWitness(ANTICHAIN, _ids(P, found[0]))

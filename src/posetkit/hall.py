@@ -5,10 +5,10 @@ left-to-right edges).  When every left subset has enough neighbors, the right
 part is a maximum antichain, the chain-cover solver partitions the poset into
 |R| chains, and the two-element chains among them are a left-perfect matching.
 Graphs and set families (systems of distinct representatives) run one routine
-on their graph poset: one Kuhn matching decides Hall's condition and seeds the
-solver's top frame (Fulkerson's reduction), each of its links y -> x pairs a
-left vertex x with the right vertex y above it, and when the matching misses a
-left vertex the left ``up`` masks are searched for the smallest violation,
+on their graph poset's masks (``find_sdr`` builds no poset): one Kuhn matching
+decides Hall's condition and seeds the solver's top frame (Fulkerson's
+reduction), its checked links y -> x are the pairs, and when the matching misses
+a left vertex the left ``up`` masks are searched for the smallest violation,
 skipping every branch that already has as many neighbors as the size it looks for.
 """
 
@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ElementId, FinitePoset, _check_id, _edge, id_key, sorted_ids
-from .dilworth import _max_matching, _perles_cover, _top_frame
+from .dilworth import _max_matching, _perles_links, _top_frame
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
 from .oracle import DEFAULT_ORACLE_CAP, _require_cap
 
@@ -143,21 +143,19 @@ def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId
     return None
 
 
-def _hall(P: FinitePoset, left: Sequence[int], names: Sequence[ElementId], subset_cap: int,
-          oracle_cap: int) -> list[tuple[ElementId, ElementId]] | Violation:
-    """On graph poset P, each left vertex x named with the right vertex y above it
-    as (names[x], names[y]); the smallest violation when Kuhn misses a left vertex."""
-    matching = _max_matching(P.up)
+def _hall(up: Sequence[int], down: Sequence[int], left: Sequence[int], names: Sequence[ElementId],
+          subset_cap: int, oracle_cap: int) -> dict[int, int] | Violation:
+    """On the graph poset's strict masks, the links y -> x pairing each left vertex x with the
+    right vertex y above it; the smallest violation, named by ``names``, when Kuhn misses one."""
+    matching = _max_matching(up)
     if len(matching) < len(left):
-        bad = _violation(P.up, left, names, subset_cap)
+        bad = _violation(up, left, names, subset_cap)
         assert bad is not None
         return bad
-    _require_cap(len(P), oracle_cap, "perles_chain_cover")
-    links, _ = _perles_cover(P, _top_frame(P, matching))  # checks its partition
-    # The partition asserts make each chain a vertex or an edge, so |L| links match every
-    # left vertex once on disjoint edges: all that verify_matching checks.
-    assert len(links) == len(left)
-    return [(names[x], names[y]) for y, x in links.items()]
+    _require_cap(len(up), oracle_cap, "perles_chain_cover")
+    # Checked links join a left vertex to a right one above it with distinct ends, and there
+    # are n − m = |L| of them: every left vertex matched once on disjoint edges.
+    return _perles_links(_top_frame(up, down, matching))
 
 
 def find_L_perfect_matching(
@@ -174,9 +172,10 @@ def find_L_perfect_matching(
     Construction: chain-cover the graph poset, which partitions it into |R|
     chains of at most two elements; its |L| links, left below right, are the pairs."""
     P = graph_to_poset(G)
-    left = [i for i, e in enumerate(P.elements) if e in G.left_set]
-    out = _hall(P, left, P.elements, subset_cap, oracle_cap)
-    return out if isinstance(out, Violation) else frozenset(out)
+    names = P.elements
+    left = [i for i, e in enumerate(names) if e in G.left_set]
+    out = _hall(P.up, P.down, left, names, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else frozenset([(names[x], names[y]) for y, x in out.items()])
 
 
 def find_sdr(
@@ -202,9 +201,9 @@ def find_sdr(
     vertex = {x: j for j, x in enumerate(ground)}
     up, down = [0] * len(back), [0] * len(back)
     for i, nm in enumerate(names, len(ground)):
+        bit = 1 << i
         for x in family[nm]:
             up[i] |= 1 << vertex[x]
-            down[vertex[x]] |= 1 << i
-    P = FinitePoset(tuple(range(len(back))), tuple(up), tuple(down))
-    out = _hall(P, range(len(ground), len(back)), back, subset_cap, oracle_cap)
-    return out if isinstance(out, Violation) else dict(out)
+            down[vertex[x]] |= bit
+    out = _hall(up, down, range(len(ground), len(back)), back, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else {back[x]: back[y] for y, x in out.items()}

@@ -23,6 +23,7 @@ from posetkit import (
     verify_antichain_cover,
     verify_chain_cover,
 )
+from posetkit.core import id_key, sorted_ids
 from posetkit.errors import (
     CycleDetected,
     ElementNotInCarrier,
@@ -255,6 +256,36 @@ def test_build_poset_is_the_exact_closure(data):
     # The diagnostic names two elements of one cycle.
     x, y = re.fullmatch(r"cycle through '(\w+)' and '(\w+)'", str(caught.value)).groups()
     assert x != y and (x, y) in reach and (y, x) in reach
+
+
+class _Name(str):
+    pass
+
+
+class _Rank(int):
+    pass
+
+
+_ints, _strs = st.integers(-50, 50), st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_ints), st.lists(_strs), st.lists(st.one_of(_ints, _strs))))
+def test_sorted_ids_is_the_id_key_order(xs):
+    """All-int and all-str ids skip the key; any mix sorts by ``id_key``."""
+    assert sorted_ids(xs) == tuple(sorted(xs, key=id_key))
+
+
+@pytest.mark.parametrize("xs", [
+    [_Name("b"), _Name("a")],
+    [_Name("b"), "a", _Name("c")],
+    [_Rank(3), 1, _Rank(2)],
+    [_Rank(2), _Name("a"), 1, "b"],
+])
+def test_sorted_ids_orders_str_and_int_subclasses(xs):
+    out = sorted_ids(xs)
+    assert out == tuple(sorted(xs, key=id_key))
+    assert list(map(type, out)) == list(map(type, sorted(xs, key=id_key)))
 
 
 def test_restrict_keeps_the_pairs_inside(posets_upto_4):

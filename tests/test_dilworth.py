@@ -15,6 +15,7 @@ from posetkit import (
     check_dilworth,
     dilworth,
     disjointify_cover,
+    find_sdr,
     is_antichain,
     max_antichain,
     min_chain_cover,
@@ -533,6 +534,47 @@ def test_perles_cover_is_a_partition(perles_corpus):
         assert cover == canonical_cover(cover)
 
 
+def _drop_a_link(up, below):
+    below.pop(next(iter(below)))
+
+
+def _share_a_lower_end(up, below):
+    # The shared lower end lies below both upper ends, so only the ends check can catch it.
+    y1, y2 = next((y1, y2) for y1 in below for y2 in below if y1 != y2 and up[below[y1]] >> y2 & 1)
+    below[y2] = below[y1]
+
+
+def _link_incomparable_elements(up, below):
+    # The new lower end z is no other link's, so only the order check can catch it.
+    lows = set(below.values())
+    y, z = next((y, z) for y in below for z in range(len(up))
+                if z != y and z not in lows and not (up[z] >> y | up[y] >> z) & 1)
+    below[y] = z
+
+
+@pytest.mark.skipif(not __debug__, reason="the link checks are asserts")
+@pytest.mark.parametrize("corrupt", [_drop_a_link, _share_a_lower_end, _link_incomparable_elements])
+@pytest.mark.parametrize("solve", [
+    lambda: perles_chain_cover(build_poset("abcde", [("a", "b"), ("a", "d"), ("c", "d")])),
+    lambda: find_sdr({"A": {1, 2}, "B": {2}, "C": {3}}),
+], ids=["perles_chain_cover", "find_sdr"])
+def test_the_link_checks_catch_every_corrupted_link_set(monkeypatch, corrupt, solve):
+    """Perles' links are checked as links: a dropped link, two links with
+    one lower end and a link between incomparable elements each fail an
+    assert, as they failed the chain-level check before."""
+    perles = dilworth._perles
+
+    def corrupted(order, *args):
+        below = perles(order, *args)
+        corrupt(order[0], below)
+        return below
+
+    solve()
+    monkeypatch.setattr(dilworth, "_perles", corrupted)
+    with pytest.raises(AssertionError):
+        solve()
+
+
 def test_frames_carry_their_extremal_masks(monkeypatch, perles_corpus):
     """Each carrier ``_perles`` splits, peels from or finishes, the top one,
     case-1 halves and the rest after a peel, comes with the masks of its
@@ -590,7 +632,7 @@ def test_a_frame_covers_its_isolated_elements_as_singletons(perles_corpus):
         K, T = lo & hi, full & ~(lo & hi)
         if not K or not T:
             continue
-        order, m, found = dilworth._top_frame(P, _max_matching(P.up))
+        order, m, found = dilworth._top_frame(P.up, P.down, _max_matching(P.up))
         assert all(c & K == K for c in found)  # every maximum antichain holds K
         k = K.bit_count()
         found_T = dilworth._antichains(order, T, m - k)
