@@ -416,11 +416,8 @@ def _verify_violation(v: Any, sets: Mapping[ElementId, Iterable[ElementId]],
 
 def _verify_matching(G: BipartiteGraph, cert: dict[str, Any]) -> tuple[bool, str]:
     if "violation" in cert:
-        nbrs: dict[ElementId, set[ElementId]] = {u: set() for u in G.left}
-        for (u, v) in G.edges:
-            nbrs[u].add(v)
         not_left = "violating set is not a set of left vertices"
-        return _verify_violation(cert["violation"], nbrs, not_left, not_left)
+        return _verify_violation(cert["violation"], G.neighbours, not_left, not_left)
     pairs = _pair_list(_field(cert, "pairs"), "pairs")
     if not set(map(type, itertools.chain.from_iterable(pairs))) <= _ID_TYPES:
         for i, pair in enumerate(pairs):

@@ -4,12 +4,24 @@ A bipartite graph is read as a height-two poset (reflexive closure of the
 left-to-right edges).  When every left subset has enough neighbors, the right
 part is a maximum antichain, the chain-cover solver partitions the poset into
 |R| chains, and the two-element chains among them are a left-perfect matching.
-Graphs and set families (systems of distinct representatives) run one routine
-on their graph poset's masks (``find_sdr`` builds no poset): one Kuhn matching
-decides Hall's condition and seeds the solver's top frame (Fulkerson's
-reduction), its checked links y -> x are the pairs, and when the matching misses
-a left vertex the left ``up`` masks are searched for the smallest violation,
-skipping every branch that already has as many neighbors as the size it looks for.
+A graph is the family of its left vertices' ``neighbours`` over its right
+part, so graphs and families (systems of distinct representatives) run one
+routine, ``_hall``, on one layout: member i is vertex i, ground element j
+vertex |members| + j.  One Kuhn matching decides Hall's condition and seeds
+the top frame (Fulkerson's reduction); its checked links y -> x are the
+pairs, or a pruned search of the member masks names the smallest violation.
+
+The links are the lexicographically first L-perfect matching (left vertices in
+id order, each taking its lowest-id neighbour that leaves the rest matchable),
+so any layout keeping each part's id order gives them.  By induction over
+Perles' frames: a frame S whose left part L_S has an L_S-perfect matching has
+width |R_S|, and each maximum antichain is T ∪ (R_S − N(T)) for a tight T,
+|N(T)| = |T|.  Case 1 splits on a tight ∅ ≠ T ⊊ L_S into halves that, stripped
+of isolated elements, are T ∪ N(T) and (L_S − T) ∪ (R_S − N(T)); S's
+L-perfect matchings are the unions of one of each half's.  Case 2 has no such
+T, so every edge x–y extends to one (each T ≠ ∅ in L_S − x keeps
+|N(T) − y| ≥ |T|), and the peel, the lowest left vertex with its lowest
+neighbour, is the first choice.
 """
 
 from __future__ import annotations
@@ -46,6 +58,14 @@ class BipartiteGraph:
     @cached_property
     def right_set(self) -> frozenset[ElementId]:
         return frozenset(self.right)
+
+    @cached_property
+    def neighbours(self) -> SetFamily:
+        """Each left vertex's right neighbours: the family that Hall's routine solves."""
+        nbrs: dict[ElementId, set[ElementId]] = {u: set() for u in self.left}
+        for (u, v) in self.edges:
+            nbrs[u].add(v)
+        return nbrs
 
 
 class Violation(NamedTuple):
@@ -86,13 +106,12 @@ def neighborhood(G: BipartiteGraph, S: AbstractSet[ElementId]) -> frozenset[Elem
     """Right vertices adjacent to some vertex of S."""
     if not S <= G.left_set:
         raise NotASubsetOfLeft(f"{sorted_ids(set(S) - G.left_set)!r} not in left part")
-    return frozenset(v for (u, v) in G.edges if u in S)
+    return frozenset().union(*(G.neighbours[u] for u in S))
 
 
 def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
-    """The height-two poset whose order is the reflexive closure of the edges.
-    Edges run only from left to right, so they are closed as they stand: the
-    strict masks are read off the edge set ``build_bigraph`` validated."""
+    """The height-two poset of the edges, closed as they stand, with the parts' ids
+    interleaved in id order: a public view that no solver builds (module docstring)."""
     elements = sorted_ids(G.left + G.right)
     index = {e: i for i, e in enumerate(elements)}
     up, down = [0] * len(elements), [0] * len(elements)
@@ -105,8 +124,7 @@ def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
 def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
     """None when every left subset S has |N(S)| >= |S|; otherwise the
     smallest violating subset (lexicographically first among those)."""
-    P = graph_to_poset(G)
-    return _violation(P.up, [i for i, e in enumerate(P.elements) if e in G.left_set], P.elements, cap)
+    return _violation(_masks(G.left, G.neighbours, G.right)[0][:len(G.left)], G.left, cap)
 
 
 def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]]) -> bool:
@@ -121,13 +139,23 @@ def verify_matching(G: BipartiteGraph, M: Iterable[tuple[ElementId, ElementId]])
     return set(lefts) == G.left_set
 
 
-def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId], cap: int) -> Violation | None:
-    """The smallest subset of the ascending ``left`` indices, first in ``combinations`` order,
-    whose ``up`` masks cover fewer vertices than it has members, named by ``names``."""
-    n = len(left)
+def _masks(names: Sequence[ElementId], sets: SetFamily,
+           ground: Sequence[ElementId]) -> tuple[list[int], list[int]]:
+    """The graph poset's strict masks in the module's layout: ``up[i]`` is ``sets[names[i]]``."""
+    vertex = {x: j for j, x in enumerate(ground, len(names))}
+    up, down = [0] * (len(ground) + len(names)), [0] * (len(ground) + len(names))
+    for i, nm in enumerate(names):
+        for x in sets[nm]:
+            up[i] |= 1 << vertex[x]
+            down[vertex[x]] |= 1 << i
+    return up, down
+
+
+def _violation(masks: Sequence[int], names: Sequence[ElementId], cap: int) -> Violation | None:
+    """The smallest Hall violation among ``names``, first in ``combinations`` order; ``masks`` are their sets."""
+    n = len(masks)
     if n > cap:
         raise InstanceTooLarge(f"hall_condition: |L| is {n}, cap is {cap} (raise it with --subset-cap)")
-    masks = [up[i] for i in left]
     for k in range(1, n + 1):
         # Depth-first in combinations order (positions pushed high to low); unions only grow,
         # so a branch whose union has k vertices holds no violator of size k and is skipped.
@@ -135,7 +163,7 @@ def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId
         while stack:
             chosen, seen = stack.pop()
             if len(chosen) == k:
-                return Violation(frozenset(names[left[p]] for p in chosen), k - seen.bit_count())
+                return Violation(frozenset(names[p] for p in chosen), k - seen.bit_count())
             for p in range(n - k + len(chosen), chosen[-1] if chosen else -1, -1):
                 union = seen | masks[p]
                 if union.bit_count() < k:
@@ -143,19 +171,19 @@ def _violation(up: Sequence[int], left: Sequence[int], names: Sequence[ElementId
     return None
 
 
-def _hall(up: Sequence[int], down: Sequence[int], left: Sequence[int], names: Sequence[ElementId],
-          subset_cap: int, oracle_cap: int) -> dict[int, int] | Violation:
-    """On the graph poset's strict masks, the links y -> x pairing each left vertex x with the
-    right vertex y above it; the smallest violation, named by ``names``, when Kuhn misses one."""
+def _hall(names: Sequence[ElementId], sets: SetFamily, ground: Sequence[ElementId],
+          subset_cap: int, oracle_cap: int) -> list[tuple[ElementId, ElementId]] | Violation:
+    """Each of ``names`` paired with a distinct element of its set, off Perles' links on
+    ``_masks``; the smallest violation when Kuhn's matching misses a member."""
+    up, down = _masks(names, sets, ground)
     matching = _max_matching(up)
-    if len(matching) < len(left):
-        bad = _violation(up, left, names, subset_cap)
+    if len(matching) < len(names):
+        bad = _violation(up[:len(names)], names, subset_cap)
         assert bad is not None
         return bad
     _require_cap(len(up), oracle_cap, "perles_chain_cover")
-    # Checked links join a left vertex to a right one above it with distinct ends, and there
-    # are n − m = |L| of them: every left vertex matched once on disjoint edges.
-    return _perles_links(_top_frame(up, down, matching))
+    # The n − m = |names| checked links join members to elements of their sets, with distinct ends.
+    return [(names[x], ground[y - len(names)]) for y, x in _perles_links(_top_frame(up, down, matching)).items()]
 
 
 def find_L_perfect_matching(
@@ -164,18 +192,11 @@ def find_L_perfect_matching(
     subset_cap: int = DEFAULT_SUBSET_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> Matching | Violation:
-    """A matching covering every left vertex, or the Hall violation that rules
-    one out; the subsets are enumerated, within ``subset_cap``, only when
-    Kuhn's maximum matching misses a left vertex (Hall's theorem), to name
-    the smallest violation.  ``oracle_cap`` bounds the chain cover's search.
-
-    Construction: chain-cover the graph poset, which partitions it into |R|
-    chains of at most two elements; its |L| links, left below right, are the pairs."""
-    P = graph_to_poset(G)
-    names = P.elements
-    left = [i for i, e in enumerate(names) if e in G.left_set]
-    out = _hall(P.up, P.down, left, names, subset_cap, oracle_cap)
-    return out if isinstance(out, Violation) else frozenset([(names[x], names[y]) for y, x in out.items()])
+    """A matching covering every left vertex, or the smallest Hall violation,
+    searched for within ``subset_cap`` only when Kuhn's maximum matching misses
+    a left vertex (Hall's theorem); ``oracle_cap`` bounds the chain cover's search."""
+    out = _hall(G.left, G.neighbours, G.right, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else frozenset(out)
 
 
 def find_sdr(
@@ -185,10 +206,7 @@ def find_sdr(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> SdrAssignment | Violation:
     """One distinct representative per member set, or a violating subfamily
-    whose union is smaller than it.
-
-    Names and elements may share ids, so element j becomes vertex j and member
-    i vertex len(ground) + i, whose ``up`` mask is its elements."""
+    whose union is smaller than it; names and elements may share ids."""
     names = sorted(family, key=id_key)
     if not names:
         return {}
@@ -197,13 +215,5 @@ def find_sdr(
         # The lexicographically first singleton violation; nothing to match.
         return Violation(frozenset({empty[0]}), 1)
     ground = sorted({x for s in family.values() for x in s}, key=id_key)
-    back = ground + names
-    vertex = {x: j for j, x in enumerate(ground)}
-    up, down = [0] * len(back), [0] * len(back)
-    for i, nm in enumerate(names, len(ground)):
-        bit = 1 << i
-        for x in family[nm]:
-            up[i] |= 1 << vertex[x]
-            down[vertex[x]] |= bit
-    out = _hall(up, down, range(len(ground), len(back)), back, subset_cap, oracle_cap)
-    return out if isinstance(out, Violation) else {back[x]: back[y] for y, x in out.items()}
+    out = _hall(names, family, ground, subset_cap, oracle_cap)
+    return out if isinstance(out, Violation) else dict(out)

@@ -13,13 +13,15 @@ every layer once, in order, and any y_{h-1} < ... < y_0 with each y_k in L_k
 is one: the longest chains are exactly the paths through the layers.
 ``through(A)`` tests whether a mask A holds such a path: reach = L_{h-1} & A,
 then reach = L_k & A & (the OR of up[i] over reach) for each higher layer,
-each element ORed at most once.  The greedy starts from allowed = all and, h
-times, takes the lowest i in allowed & ~chain for which trial = the chain, i
-and the elements of allowed comparable to i above index i passes ``through``,
-then adds i to the chain and sets allowed = trial.  Two elements of one layer
-are incomparable, so trial meets each chosen element's layer only in that
-element and every path through trial holds the whole chain so far; taking
-the lowest feasible index at each step gives the lexicographically first.
+each element ORed at most once.  The greedy starts from allowed = all and
+scans the indices once, upwards: when i is in allowed and trial = the chain,
+i and the elements of allowed comparable to i above index i passes
+``through``, it adds i to the chain and sets allowed = trial.  Two elements
+of one layer are incomparable, so trial meets each chosen element's layer
+only in that element and every path through trial holds the whole chain so
+far: the lowest feasible index at each step gives the lexicographically
+first.  A failed i needs no retry, as the next choice lies above it and
+allowed then drops every lower index.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import oracle
-from .core import AntichainCover, ElementId, FinitePoset, _extremal, _ids, _indices, _union
+from .core import AntichainCover, ElementId, FinitePoset, _extremal, _ids, _union
 from .oracle import DEFAULT_ORACLE_CAP, SizedWitness
 
 
@@ -77,12 +79,11 @@ def mirsky_antichain_cover(P: FinitePoset) -> MirskyCertificate:
         return bool(reach)
 
     allowed, chain = (1 << len(P)) - 1, 0
-    for _ in layers:
-        for i in _indices(allowed & ~chain):
+    for i in range(len(P)):
+        if allowed >> i & 1:
             trial = chain | 1 << i | allowed & (P.up[i] | P.down[i]) & -(2 << i)
             if through(trial):
                 chain, allowed = chain | 1 << i, trial
-                break
     return MirskyCertificate(len(layers), _ids(P, chain), tuple(_ids(P, layer) for layer in layers))
 
 

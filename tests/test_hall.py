@@ -284,9 +284,9 @@ def test_hall_condition_runs_only_without_an_L_perfect_matching(monkeypatch):
     calls = []
     search = hall._violation
 
-    def counting(up, left, names, cap):
-        calls.append(left)
-        return search(up, left, names, cap)
+    def counting(masks, names, cap):
+        calls.append(names)
+        return search(masks, names, cap)
 
     monkeypatch.setattr(hall, "_violation", counting)
     rng = random.Random(15)
@@ -321,6 +321,14 @@ def _interleaved_bigraph(rng, nl, nr):
     left, right = ids[:nl], ids[nl:]
     p = rng.choice((0.3, 0.5, 0.7))
     return build_bigraph(left, right, [(u, v) for u in left for v in right if rng.random() < p])
+
+
+def _mixed_id_bigraph(rng, nl, nr, isolated):
+    """A random bigraph over mixed int and str ids, plus ``isolated`` right vertices that no edge reaches."""
+    ids = rng.sample(list(range(10)) + [f"v{i}" for i in range(10)], nl + nr + isolated)
+    left, right = ids[:nl], ids[nl:nl + nr]
+    p = rng.choice((0.3, 0.5, 0.7))
+    return build_bigraph(left, ids[nl:], [(u, v) for u in left for v in right if rng.random() < p])
 
 
 def _shared_id_family(rng):
@@ -362,6 +370,8 @@ def _chain_cover_pairs(G):
 
 
 def test_pairs_equal_the_two_element_chains_of_the_chain_cover():
+    # The reference chain-covers graph_to_poset's interleaved layout, not the solvers' own,
+    # so this also checks that the layout does not change the pairs.
     rng = random.Random(18)
     matched = 0
     for _ in range(300):
@@ -386,6 +396,17 @@ def test_pairs_equal_the_two_element_chains_of_the_chain_cover():
             assert result == {back[u]: back[v] for u, v in _chain_cover_pairs(G)}, family
             matched += 1
     assert 150 < matched < 550
+    # Where the two layouts differ most: isolated right vertices and mixed int and str ids.
+    matched = 0
+    for _ in range(300):
+        G = _mixed_id_bigraph(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 2))
+        result = find_L_perfect_matching(G)
+        if isinstance(result, Violation):
+            assert result == hall_condition(G), G
+        else:
+            assert result == _chain_cover_pairs(G), G
+            matched += 1
+    assert 50 < matched < 250
 
 
 # --- byte identity of the certificates ------------------------------------------

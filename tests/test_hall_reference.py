@@ -1,7 +1,8 @@
 """Hall's solvers above the subset cap, against an independent reference:
 networkx's Hopcroft–Karp maximum matching decides whether a matching or an
-SDR must come back, and bounds the deficiency of any violation (König–Ore:
-the largest deficiency is |L| − |M|).  Only posetkit's public API is used."""
+SDR must come back, bounds the deficiency of any violation (König–Ore:
+the largest deficiency is |L| − |M|), and fixes the tie-break, the
+lexicographically first L-perfect matching.  Only posetkit's public API is used."""
 
 from __future__ import annotations
 
@@ -24,6 +25,25 @@ def _max_matching_size(adj):
     G.add_nodes_from(left)
     G.add_edges_from((("L", u), ("R", v)) for u, vs in adj.items() for v in vs)
     return len(nx.bipartite.hopcroft_karp_matching(G, top_nodes=left)) // 2
+
+
+def _id_order(x):
+    """Ints before strings, each kind in its own order."""
+    return (isinstance(x, str), x)
+
+
+def _first_matching(adj):
+    """The lexicographically first L-perfect matching of ``adj``, which has one: the left
+    vertices in id order, each taking its lowest-id neighbour for which the rest, with that
+    pair fixed, still matches every left vertex."""
+    rest, first = dict(adj), {}
+    for u in sorted(adj, key=_id_order):
+        for v in sorted(rest.pop(u), key=_id_order):
+            trial = {w: vs - {v} for w, vs in rest.items()}
+            if _max_matching_size(trial) == len(trial):
+                break
+        first[u], rest = v, trial
+    return first
 
 
 def _instances(kind, count):
@@ -63,8 +83,8 @@ def test_hall_solvers_above_the_subset_cap_agree_with_hopcroft_karp(kind):
         if kind == "family":
             solve = partial(find_sdr, adj, oracle_cap=n)
         else:
-            G = build_bigraph(adj, [f"r{v}" for v in range(right)],
-                              [(u, f"r{v}") for u, vs in adj.items() for v in vs])
+            adj = {u: {f"r{v}" for v in vs} for u, vs in adj.items()}
+            G = build_bigraph(adj, [f"r{v}" for v in range(right)], [(u, v) for u, vs in adj.items() for v in vs])
             solve = partial(find_L_perfect_matching, G, oracle_cap=n)
         out = solve(subset_cap=k)
         outcomes[matched == k] += 1
@@ -76,6 +96,8 @@ def test_hall_solvers_above_the_subset_cap_agree_with_hopcroft_karp(kind):
         elif kind == "family":
             assert out.keys() == adj.keys() and len(set(out.values())) == k
             assert all(out[u] in adj[u] for u in adj)
+            assert out == _first_matching(adj), adj
         else:
             assert verify_matching(G, out)
+            assert out == frozenset(_first_matching(adj).items()), adj
     assert outcomes[True] and outcomes[False], outcomes
