@@ -15,11 +15,11 @@ case-2 peel of a minimal x and a maximal y the rest has width m − 1, since
 every maximum antichain of P is the minimal or the maximal elements.  The
 witness is the lexicographically first maximum antichain, as the oracle finds.
 
-``width`` is the top frame alone: ``_top_frame`` takes the order's masks and
-the caller's maximum matching and computes m and the first size-m
-antichains, whose first is the width's witness.  ``perles_chain_cover`` goes
-on through ``_cover_from_top``, which ``pre_es`` calls with the frame its
-width came from.  Its mask-level part ``_perles_links`` returns the checked
+``width`` is the top frame alone: ``_top_frame`` checks the oracle cap,
+takes the order's masks and a maximum matching and computes m and the first
+size-m antichains, whose first is the width's witness.
+``perles_chain_cover`` goes on through ``_cover_from_top``, which ``pre_es``
+calls with the frame its width came from.  Its mask-level part ``_perles_links`` returns the checked
 links, which Hall's matchings read as their pairs, with no poset or chains.
 The matching's n − m chains (``_kuhn_chains``) are the dual that ``verify``
 checks a width claim against.
@@ -166,8 +166,7 @@ class DilworthReport(NamedTuple):
 def width(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> SizedWitness:
     """Size (and witness) of a largest antichain: the first antichain of
     Perles' top frame, which is the lexicographically first."""
-    oracle._require_cap(len(P), cap, "width")
-    _, m, found = _top_frame(P.up, P.down, _max_matching(P.up))
+    _, m, found = _top_frame(P.up, P.down, cap, "width")
     return SizedWitness(_ids(P, found[0]), m)
 
 
@@ -175,8 +174,7 @@ def perles_chain_cover(P: FinitePoset, cap: int = DEFAULT_ORACLE_CAP) -> Dilwort
     """A chain cover whose size equals the width, built by Perles' recursion;
     the width comes from Fulkerson's matching, and the first size-m antichain
     of the top frame's search is the witness."""
-    oracle._require_cap(len(P), cap, "perles_chain_cover")
-    return _cover_from_top(P, _top_frame(P.up, P.down, _max_matching(P.up)))
+    return _cover_from_top(P, _top_frame(P.up, P.down, cap, "perles_chain_cover"))
 
 
 def _cover_from_top(P: FinitePoset, top: tuple[_Order, int, list[int]]) -> DilworthCertificate:
@@ -212,12 +210,18 @@ _ChainSpace = tuple[list[int], list[int], int, int]
 _Order = tuple[Sequence[int], Sequence[int], list[int], "_ChainSpace | None"]
 
 
-def _top_frame(up: Sequence[int], down: Sequence[int],
-               matching: dict[int, int]) -> tuple[_Order, int, list[int]]:
+def _top_frame(up: Sequence[int], down: Sequence[int], cap: int, what: str,
+               matching: dict[int, int] | None = None) -> tuple[_Order, int, list[int]]:
     """Perles' masks for the order with strict masks ``up`` and ``down``, its
-    width m by Fulkerson's ``matching``, a maximum one of ``up``, and the
-    first three size-m antichains in search order."""
+    width m by Fulkerson's ``matching``, a maximum one of ``up`` (Kuhn's when
+    None), and the first three size-m antichains in search order.  The
+    exhaustive search that ``cap`` bounds starts here, in every Perles entry
+    point, so this is where an order above it is refused, under the label
+    ``what``; a caller that passes no matching is refused before Kuhn runs."""
     n = len(up)
+    oracle._require_cap(n, cap, what)
+    if matching is None:
+        matching = _max_matching(up)
     m = n - len(matching)
     comp = [u | d for u, d in zip(up, down)]
     space = None

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ElementId, FinitePoset, _ids, member_key
-from .dilworth import _cover_from_top, _max_matching, _top_frame
+from .core import ElementId, FinitePoset, _ids
+from .dilworth import _cover_from_top, _top_frame
 from .errors import (
     DuplicateValue,
     EmptyInput,
@@ -93,20 +93,19 @@ def pre_es(P: FinitePoset, r: int, s: int, cap: int = DEFAULT_ORACLE_CAP) -> Pos
 
     If the width already exceeds s the antichain is the answer; otherwise a
     chain cover of at most s chains spreads r*s+1 elements, so some chain
-    holds at least r+1 of them."""
+    holds at least r+1 of them.  Perles' cover comes in ``canonical_cover``
+    order, so its first longest chain is the member-key-least of them."""
     if r < 0 or s < 0:
         raise WrongCardinality("r and s must be non-negative")
     if len(P) != r * s + 1:
         raise WrongCardinality(f"carrier has {len(P)} elements, expected r*s+1 = {r * s + 1}")
     # One top frame gives the width and, in the chain case, starts the cover.
-    _require_cap(len(P), cap, "width")
-    top = _top_frame(P.up, P.down, _max_matching(P.up))
+    top = _top_frame(P.up, P.down, cap, "width")
     _, m, found = top
     if m >= s + 1:
         return PosetWitness(ANTICHAIN, _ids(P, found[0]))
     cert = _cover_from_top(P, top)
-    longest = max(len(c) for c in cert.cover)
-    chain = min((c for c in cert.cover if len(c) == longest), key=member_key)
+    chain = max(cert.cover, key=len)
     assert len(chain) >= r + 1
     return PosetWitness(CHAIN, chain)
 

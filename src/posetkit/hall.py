@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import ElementId, FinitePoset, _check_id, _edge, id_key, sorted_ids
+from .core import ElementId, FinitePoset, _check_id, _edge, build_poset, id_key, sorted_ids
 from .dilworth import _max_matching, _perles_links, _top_frame
 from .errors import InstanceTooLarge, NotASubsetOfLeft, ValidationError
-from .oracle import DEFAULT_ORACLE_CAP, _require_cap
+from .oracle import DEFAULT_ORACLE_CAP
 
 # Hall's condition quantifies over all 2^|L| left subsets.
 DEFAULT_SUBSET_CAP = 20
@@ -110,15 +110,10 @@ def neighborhood(G: BipartiteGraph, S: AbstractSet[ElementId]) -> frozenset[Elem
 
 
 def graph_to_poset(G: BipartiteGraph) -> FinitePoset:
-    """The height-two poset of the edges, closed as they stand, with the parts' ids
-    interleaved in id order: a public view that no solver builds (module docstring)."""
-    elements = sorted_ids(G.left + G.right)
-    index = {e: i for i, e in enumerate(elements)}
-    up, down = [0] * len(elements), [0] * len(elements)
-    for (u, v) in G.edges:
-        up[index[u]] |= 1 << index[v]
-        down[index[v]] |= 1 << index[u]
-    return FinitePoset(elements, tuple(up), tuple(down))
+    """The height-two poset of the edges: ``build_poset`` of both parts and the
+    edges, with the parts' ids interleaved in id order.  The solvers use
+    ``_masks``'s members-first layout of the same order (module docstring)."""
+    return build_poset(G.left + G.right, G.edges)
 
 
 def hall_condition(G: BipartiteGraph, cap: int = DEFAULT_SUBSET_CAP) -> Violation | None:
@@ -181,9 +176,9 @@ def _hall(names: Sequence[ElementId], sets: SetFamily, ground: Sequence[ElementI
         bad = _violation(up[:len(names)], names, subset_cap)
         assert bad is not None
         return bad
-    _require_cap(len(up), oracle_cap, "perles_chain_cover")
     # The n − m = |names| checked links join members to elements of their sets, with distinct ends.
-    return [(names[x], ground[y - len(names)]) for y, x in _perles_links(_top_frame(up, down, matching)).items()]
+    top = _top_frame(up, down, oracle_cap, "perles_chain_cover", matching)
+    return [(names[x], ground[y - len(names)]) for y, x in _perles_links(top).items()]
 
 
 def find_L_perfect_matching(

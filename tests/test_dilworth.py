@@ -21,6 +21,7 @@ from posetkit import (
     min_chain_cover,
     oracle,
     perles_chain_cover,
+    pre_es,
     restrict,
     verify_chain_cover,
     width,
@@ -69,6 +70,31 @@ def test_perles_grid(grid2x2):
 def test_perles_cap(grid2x2):
     with pytest.raises(InstanceTooLarge):
         perles_chain_cover(grid2x2, cap=3)
+
+
+@pytest.mark.parametrize("solve, what", [
+    (width, "width"),
+    (perles_chain_cover, "perles_chain_cover"),
+    (lambda P, cap: pre_es(P, 2, 2, cap), "width"),
+])
+def test_each_perles_entry_point_refuses_above_its_cap_before_matching(monkeypatch, solve, what):
+    """``width``, ``perles_chain_cover`` and ``pre_es`` refuse at cap n − 1,
+    under their own label, before Kuhn's matching runs; at cap n they solve."""
+    calls = []
+    kuhn = dilworth._max_matching
+
+    def counting(adj):
+        calls.append(adj)
+        return kuhn(adj)
+
+    monkeypatch.setattr(dilworth, "_max_matching", counting)
+    P = build_poset("abcde", [("a", "b"), ("b", "c"), ("d", "e")])  # r * s + 1 = 5 for r = s = 2
+    with pytest.raises(InstanceTooLarge, match=rf"^{what}: instance has 5 elements, "
+                                               r"cap is 4 \(raise it with --oracle-cap\)$"):
+        solve(P, 4)
+    assert calls == []
+    solve(P, 5)
+    assert len(calls) == 1
 
 
 def test_perles_equality_exhaustive(posets_upto_4):
@@ -632,7 +658,7 @@ def test_a_frame_covers_its_isolated_elements_as_singletons(perles_corpus):
         K, T = lo & hi, full & ~(lo & hi)
         if not K or not T:
             continue
-        order, m, found = dilworth._top_frame(P.up, P.down, _max_matching(P.up))
+        order, m, found = dilworth._top_frame(P.up, P.down, len(P), "width")
         assert all(c & K == K for c in found)  # every maximum antichain holds K
         k = K.bit_count()
         found_T = dilworth._antichains(order, T, m - k)

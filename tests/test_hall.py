@@ -12,7 +12,6 @@ import pytest
 from posetkit import (
     Violation,
     build_bigraph,
-    build_poset,
     dilworth,
     find_L_perfect_matching,
     find_sdr,
@@ -137,9 +136,11 @@ def test_graph_to_poset(k22):
     assert not P.comparable("r1", "r2")
 
 
-def test_graph_to_poset_equals_the_closed_edge_set():
-    """The masks read off the edges are the poset ``build_poset`` closes from
-    them, over str, int and mixed ids, isolated vertices on both sides."""
+def test_the_solvers_layout_is_the_graph_poset():
+    """``hall._masks``, relabeled by vertex (left vertex i is ``G.left[i]``,
+    right vertex j is ``G.right[j − |L|]``), has the strict pairs of
+    ``graph_to_poset``, over str, int and mixed ids, isolated vertices on
+    both sides: the solvers' members-first layout is the same order."""
     rng = random.Random(13)
     isolated = set()
     for trial in range(300):
@@ -148,7 +149,10 @@ def test_graph_to_poset_equals_the_closed_edge_set():
         rng.shuffle(ids)
         left, right = ids[:nl], ids[nl:]
         G = build_bigraph(left, right, [(u, v) for u in left for v in right if rng.random() < 0.3])
-        assert graph_to_poset(G) == build_poset(G.left + G.right, G.edges), G
+        up, down = hall._masks(G.left, G.neighbours, G.right)
+        vertex, strict = G.left + G.right, set(graph_to_poset(G)._strict())
+        assert {(vertex[i], vertex[j]) for i, j in product(range(len(vertex)), repeat=2) if up[i] >> j & 1} == strict, G
+        assert {(vertex[i], vertex[j]) for i, j in product(range(len(vertex)), repeat=2) if down[j] >> i & 1} == strict, G
         touched = {x for edge in G.edges for x in edge}
         isolated |= {"left" for u in left if u not in touched} | {"right" for v in right if v not in touched}
     assert isolated == {"left", "right"}
