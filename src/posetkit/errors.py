@@ -5,11 +5,16 @@ class PosetKitError(Exception):
     """Base class for all errors raised by posetkit."""
 
 
-class EmptyCarrier(PosetKitError):
+class ValidationError(PosetKitError):
+    """An input breaks an invariant: a duplicate id, a dangling edge endpoint, overlapping vertex
+    parts, a bad field shape, or one its subclasses name (empty carrier, cycle, empty or repeating sequence)."""
+
+
+class EmptyCarrier(ValidationError):
     """A poset carrier (or restriction target) was empty."""
 
 
-class CycleDetected(PosetKitError):
+class CycleDetected(ValidationError):
     """The closure of the input edges relates two distinct elements both ways."""
 
 
@@ -37,17 +42,12 @@ class WrongCardinality(PosetKitError):
     """The carrier size does not match the r*s+1 shape the operation requires."""
 
 
-class EmptyInput(PosetKitError):
+class EmptyInput(ValidationError):
     """A sequence constructor received no values."""
 
 
-class DuplicateValue(PosetKitError):
+class DuplicateValue(ValidationError):
     """A sequence constructor received repeated values."""
-
-
-class ValidationError(PosetKitError):
-    """An instance violates a structural invariant (duplicate id, dangling
-    edge endpoint, overlapping vertex parts, bad field shape, ...)."""
 
 
 class ParseError(PosetKitError):

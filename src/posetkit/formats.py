@@ -45,7 +45,7 @@ from .erdos_szekeres import (
     seq_from_list,
     verify_subseq,
 )
-from .errors import ParseError, PosetKitError, ValidationError
+from .errors import DuplicateValue, EmptyInput, ParseError, ValidationError
 from .hall import (
     BipartiteGraph,
     Matching,
@@ -156,9 +156,9 @@ def _field(body: dict[str, Any], name: str) -> Any:
 
 
 def parse_instance(data: bytes | str) -> Instance:
-    """Parse and validate an instance file; diagnostics name the first
-    violated invariant.  Poset and bigraph ids are checked by their builders,
-    so only the JSON shape is checked here."""
+    """Parse and validate an instance file.  Only the JSON shape is checked here: the builders
+    check the ids and raise :class:`ValidationError`s that pass through as they are; only the
+    sequence branch prefixes its field's name, ``values: ``."""
     body = _load_json(data)
     if not isinstance(body, dict):
         raise ValidationError("instance must be a JSON object")
@@ -169,12 +169,7 @@ def parse_instance(data: bytes | str) -> Instance:
     if kind == POSET:
         elements = _list(_field(body, "elements"), "elements")
         edges = _pair_list(_field(body, "edges"), "edges")
-        try:
-            return Instance(POSET, build_poset(elements, edges))
-        except ValidationError:
-            raise
-        except PosetKitError as e:
-            raise ValidationError(str(e)) from None
+        return Instance(POSET, build_poset(elements, edges))
 
     if kind == BIGRAPH:
         left = _list(_field(body, "left"), "left")
@@ -199,9 +194,7 @@ def parse_instance(data: bytes | str) -> Instance:
         raise ValidationError("values: expected a list of integers")
     try:
         return Instance(SEQUENCE, seq_from_list(values))
-    except ValidationError:
-        raise
-    except PosetKitError as e:
+    except (EmptyInput, DuplicateValue) as e:
         raise ValidationError(f"values: {e}") from None
 
 

@@ -56,10 +56,6 @@ class BipartiteGraph:
         return frozenset(self.left)
 
     @cached_property
-    def right_set(self) -> frozenset[ElementId]:
-        return frozenset(self.right)
-
-    @cached_property
     def neighbours(self) -> SetFamily:
         """Each left vertex's right neighbours: the family that Hall's routine solves."""
         nbrs: dict[ElementId, set[ElementId]] = {u: set() for u in self.left}

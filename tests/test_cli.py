@@ -97,6 +97,24 @@ def test_parse_rejects_invalid_instances():
         formats.parse_instance('{"kind": "family", "members": {"S": ["x"], "S": ["y"]}}')
 
 
+@pytest.mark.parametrize("payload,prefix", [
+    ({"kind": "poset", "elements": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}, ""),
+    ({"kind": "poset", "elements": [], "edges": []}, ""),
+    ({"kind": "sequence", "values": []}, "values: "),
+    ({"kind": "sequence", "values": [2, 1, 2]}, "values: "),
+], ids=["cycle", "empty-carrier", "empty-sequence", "repeated-value"])
+def test_builders_and_parse_instance_raise_one_validation_error(payload, prefix):
+    # the builder's own error is a ValidationError; parse_instance passes its text on
+    with pytest.raises(ValidationError) as built:
+        if payload["kind"] == "poset":
+            posetkit.build_poset(payload["elements"], payload["edges"])
+        else:
+            posetkit.seq_from_list(payload["values"])
+    with pytest.raises(ValidationError) as parsed:
+        formats.parse_instance(json.dumps(payload))
+    assert str(parsed.value) == prefix + str(built.value)
+
+
 BAD_IDS = [True, 1.5, None, ["a"]]
 ID_PLACES = {
     "poset-element": lambda x: {"kind": "poset", "elements": ["a", x], "edges": []},

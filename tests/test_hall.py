@@ -370,7 +370,7 @@ def test_each_matching_and_sdr_call_runs_one_kuhn_matching(monkeypatch, k22):
 def _chain_cover_pairs(G):
     """The matching as the chain cover gives it: its two-element chains, left vertex first."""
     cover = perles_chain_cover(graph_to_poset(G), cap=48).cover
-    return frozenset(tuple(sorted(chain, key=G.right_set.__contains__)) for chain in cover if len(chain) == 2)
+    return frozenset(tuple(sorted(chain, key=set(G.right).__contains__)) for chain in cover if len(chain) == 2)
 
 
 def test_pairs_equal_the_two_element_chains_of_the_chain_cover():

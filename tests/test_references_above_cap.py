@@ -120,3 +120,26 @@ def test_width_and_height_witnesses_agree_with_the_references(name):
     assert (found.witness, found.size) == _reference_width(P), name
     found = height(P)
     assert (found.witness, found.size) == _reference_height(P), name
+
+
+def _height_inputs():
+    """Builders of posets too large for ``width``.  Chains are left out: the
+    height reference takes about 50 s on a 500-element one."""
+    for n, p in ((300, .01), (300, .02), (500, .005), (500, .01), (800, .003), (1000, .003)):
+        for seed in (0, 1):
+            yield (f"sparse-{n}-{p}-{seed}",
+                   lambda n=n, p=p, seed=seed: sparse_poset(random.Random(1000 * n + seed), n, p))
+    for length in (6, 8, 10, 30):
+        yield f"ordinal-sum-8x{length}", lambda length=length: _ordinal_sum(8, length)
+    for members in (200, 500):
+        yield f"fence-{members}", lambda members=members: _fence(members)
+
+
+HEIGHT_INPUTS = dict(_height_inputs())
+
+
+@pytest.mark.parametrize("name", list(HEIGHT_INPUTS))
+def test_height_witnesses_agree_with_the_reference_at_scale(name):
+    P = HEIGHT_INPUTS[name]()
+    found = height(P)
+    assert (found.witness, found.size) == _reference_height(P), name
